@@ -378,6 +378,7 @@ def test_criterion_10_oracle_agreement():
     t0 = time.perf_counter()
     g64 = GridSpec((-1.1,), (1.1,), 64)
     g4096 = GridSpec((-1.1, -1.1), (1.1, 1.1), 64)
+    g16_3d = GridSpec((-1.1, -1.2, -1.0), (1.1, 1.2, 1.0), 16)
     pair_cases = [
         (bump(1), 0, 0.5, g64),
         (bump_poly(1, deg=2), 1, 1.0, g64),
@@ -386,6 +387,7 @@ def test_criterion_10_oracle_agreement():
         (bump(2), 0, 0.5, g4096),
         (bump_poly(2, deg=1), 1, 1.0, g4096),
         (plateau(2, rho=0.5), 0, 0.75, g4096),
+        (bump(3), 0, 0.5, g16_3d),
     ]
     mismatched = 0
     for fn, order, gamma, grid in pair_cases:

@@ -8,7 +8,11 @@ from scipy.integrate import quad
 
 from gninterp.errors import GridTooCoarse, OracleTooLarge
 from gninterp.norms import (
+    PAIR_POINT_CAP,
     GridSpec,
+    _exact_order_components,
+    _grid_pair_scan,
+    _pair_scan,
     _simpson_integral,
     brute_force_holder,
     check_holder_equality,
@@ -28,6 +32,21 @@ def bump_profile(x):
     inside = np.abs(x) < 1
     out[inside] = np.exp(-1.0 / (1 - x[inside] ** 2))
     return out
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            ((1.05,), (-1.05,)),  # reversed: Simpson weights turn negative
+            ((-1.0, 0.5), (1.0, 0.5)),  # zero width on one axis
+            ((-1.0,), (float("nan"),)),
+            ((-float("inf"), 0.0), (1.0, 1.0)),
+        ],
+    )
+    def test_rejects_reversed_empty_or_nonfinite_box(self, lo, hi):
+        with pytest.raises(ValueError):
+            GridSpec(lo, hi, 257)
 
 
 class TestSimpsonWhiteBox:
@@ -182,6 +201,95 @@ class TestHolderSeminorm:
     def test_oracle_cap(self, bump1):
         with pytest.raises(OracleTooLarge):
             brute_force_holder(bump1, 0, 0.5, grid=GridSpec((-1.05,), (1.05,), 4097))
+
+    def test_fast_scan_has_no_point_cap(self, bump1):
+        grid = GridSpec((-1.05,), (1.05,), 8193)
+        assert grid.npoints > PAIR_POINT_CAP
+        semi = holder_seminorm(bump1, 0, 0.5, grid=grid)
+        coarse = holder_seminorm(bump1, 0, 0.5, grid=GridSpec((-1.05,), (1.05,), 4097))
+        assert semi.value == pytest.approx(coarse.value, rel=1e-6)
+        with pytest.raises(OracleTooLarge):
+            brute_force_holder(bump1, 0, 0.5, grid=grid)
+
+    @pytest.mark.parametrize("fn,order", [(bump(2), 1), (bump_poly(3, deg=1), 1)])
+    def test_refinement_matches_full_rescan(self, fn, order):
+        # The refine loop scans each component on its own cloud, with one jet
+        # per round; the reference rescans every component on every cloud.
+        grid = default_grid(fn, "pair")
+        pts = grid.mesh()
+        sups, pairs = _pair_scan(pts, _exact_order_components(fn, pts, order), 0.5)
+        improvement = 0.0
+        for key in sorted(sups):
+            h = grid.spacing()
+            for _ in range(3):
+                cloud = []
+                for c in pairs[key]:
+                    axes = [np.linspace(c[i] - h[i], c[i] + h[i], 5) for i in range(fn.ndim)]
+                    mesh = np.meshgrid(*axes, indexing="ij")
+                    cloud.append(np.stack([g.ravel() for g in mesh], axis=-1))
+                local = np.concatenate(cloud, axis=0)
+                comps = _exact_order_components(fn, local, order)
+                lsup, lpair = _pair_scan(local, comps, 0.5)
+                if lsup[key] > sups[key]:
+                    improvement = max(improvement, lsup[key] - sups[key])
+                    sups[key], pairs[key] = lsup[key], lpair[key]
+                h = h / 4.0
+        total = 0.0
+        for key in sorted(sups):
+            total += sups[key]
+        semi = holder_seminorm(fn, order, 0.5, grid=grid)
+        assert semi.value == total
+        assert semi.error_estimate == max(improvement, np.finfo(float).eps * total)
+
+
+# Boxes with unequal per-axis widths, centred (symmetric functions give tied
+# pairs) or dyadic and off-centre (exact coordinates, exact distance ties).
+_CENTRED_BOX = ((-1.3, -0.9, -1.1), (1.3, 0.9, 1.1))
+_DYADIC_BOX = ((-0.5, -1.0, 0.0), (1.5, 1.0, 1.0))
+_PAIR_FUNCTIONS = (
+    lambda n: bump(n),
+    lambda n: plateau(n, rho=0.5).translate([0.25] * n),
+    lambda n: bump_poly(n, deg=1).dilate(1.5),
+    lambda n: bump_wave(n, omega=3.0).translate([-0.2] * n).dilate(0.8),
+)
+_PAIR_POINTS = {1: (3, 40, 257), 2: (3, 13, 24), 3: (3, 6, 9)}
+
+
+class TestPairScanIndependence:
+    """The offset scan against the untouched brute sweep, value and pair."""
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_sweep(self, n, order, gamma):
+        g = int(4 * gamma) - 1
+        fn = _PAIR_FUNCTIONS[(g + order + n) % 4](n)
+        lo, hi = _CENTRED_BOX if (g + order) % 2 == 0 else _DYADIC_BOX
+        grid = GridSpec(lo[:n], hi[:n], _PAIR_POINTS[n][(g + 2 * order) % 3])
+
+        fast = holder_seminorm(fn, order, gamma, grid=grid, refinements=0)
+        brute = brute_force_holder(fn, order, gamma, grid)
+        assert fast.value == brute.value
+
+        pts = grid.mesh()
+        comps = _exact_order_components(fn, pts, order)
+        want_sups, want_pairs = _pair_scan(pts, comps, gamma)
+        got_sups, got_pairs = _grid_pair_scan(grid, comps, gamma)
+        assert got_sups == want_sups
+        for key in want_pairs:
+            assert np.array_equal(got_pairs[key][0], want_pairs[key][0])
+            assert np.array_equal(got_pairs[key][1], want_pairs[key][1])
+
+    def test_zero_field_keeps_first_point(self, bump2):
+        # Outside the support every quotient is 0; the brute sweep keeps its
+        # initial pair (point 0 twice).
+        grid = GridSpec((2.0, 2.0), (3.0, 4.0), 7)
+        comps = _exact_order_components(bump2, grid.mesh(), 1)
+        want_sups, want_pairs = _pair_scan(grid.mesh(), comps, 0.5)
+        got_sups, got_pairs = _grid_pair_scan(grid, comps, 0.5)
+        assert got_sups == want_sups == {key: 0.0 for key in comps}
+        for key in comps:
+            assert np.array_equal(np.stack(got_pairs[key]), np.stack(want_pairs[key]))
 
 
 class TestXnormDispatch:
