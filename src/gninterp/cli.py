@@ -52,7 +52,7 @@ from .testfn import parse_testfn
 
 ENV_CONFIG = "GNINTERP_CONFIG"
 
-_CONFIG_KEYS = {"points", "pair_points", "tolerance_ratio", "seed", "threads", "out"}
+_CONFIG_KEYS = {"points", "pair_points", "tolerance_ratio", "seed", "out"}
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class RunConfig:
     pair_points: Optional[int] = None
     tolerance_ratio: float = 0.01
     seed: int = 0
-    threads: Optional[int] = None
     out: Optional[str] = None
     source: str = "-"
 
@@ -79,7 +78,7 @@ def load_config(path: Optional[str]) -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep or key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config entry {raw.strip()!r}")
-        if key in ("points", "pair_points", "seed", "threads"):
+        if key in ("points", "pair_points", "seed"):
             cfg = replace(cfg, **{key: int(value)})
         elif key == "tolerance_ratio":
             tol = float(value)
@@ -93,14 +92,12 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(os.environ.get(ENV_CONFIG))
-    for key in ("points", "pair_points", "seed", "threads", "out"):
+    for key in ("points", "pair_points", "seed", "out"):
         value = getattr(args, key, None)
         if value is not None:
             cfg = replace(cfg, **{key: value})
     if getattr(args, "tolerance_ratio", None) is not None:
         cfg = replace(cfg, tolerance_ratio=args.tolerance_ratio)
-    if cfg.threads is None:
-        cfg = replace(cfg, threads=os.cpu_count())
     return cfg
 
 
@@ -340,7 +337,6 @@ def _add_common(sub: argparse.ArgumentParser, points: bool = True) -> None:
         sub.add_argument("--points", type=int, help="integration grid points per axis (odd)")
         sub.add_argument("--pair-points", dest="pair_points", type=int, help="pair-scan grid points per axis")
     sub.add_argument("--seed", type=int, help="seed recorded in output headers")
-    sub.add_argument("--threads", type=int, help="worker cap for parallel norm evaluation")
     sub.add_argument("--tolerance-ratio", dest="tolerance_ratio", type=float, help="allowed ratio spread in sweep")
 
 
@@ -385,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="e.g. \"n=1,k=2,l=1,p=2,r=-1,theta=3/4\"")
     p.add_argument("--fn", default="bump(R=1)")
     p.add_argument("--lambdas", type=_float_list, default=[0.5, 1.0, 2.0])
-    p.add_argument("--seminorm", action="store_true", help="accepted for symmetry; sweeps always use seminorms")
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 

@@ -12,11 +12,10 @@ function, slot by slot.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BadCertificate,
@@ -126,6 +125,14 @@ def chain_constant(steps: Sequence[Step]) -> Optional[float]:
     input slots.  Parent steps of compound rules already summarize their
     subtree, so the walk only visits the resolving structure.
     """
+    return _demand_walk(steps, lambda step: step.constant)
+
+
+def _demand_walk(
+    steps: Sequence[Step], constant_of: Callable[[Step], Optional[float]]
+) -> Optional[float]:
+    """Product of ``constant_of(step) ** demand`` over the steps the final
+    output needs, walking backward; None if a needed constant is None."""
     if not steps:
         return None
     demand: dict[Slot, Fraction] = {steps[-1].output: Fraction(1)}
@@ -134,9 +141,10 @@ def chain_constant(steps: Sequence[Step]) -> Optional[float]:
         weight = demand.pop(step.output, None)
         if weight is None or weight == 0:
             continue
-        if step.constant is None:
+        const = constant_of(step)
+        if const is None:
             return None
-        acc *= step.constant ** float(weight)
+        acc *= const ** float(weight)
         for slot, exp in zip(step.inputs, step.exponents):
             demand[slot] = demand.get(slot, Fraction(0)) + weight * exp
     return acc
@@ -348,11 +356,6 @@ def base_lemma_steps(
     return (Step(RULE_BASE, parent_inputs, out, (h, h), None, note),)
 
 
-def base_lemma_step(n: int, sp: Fraction | int | str, sr: Fraction | int | str) -> Step:
-    """The resolving record of the second-order base inequality."""
-    return base_lemma_steps(n, sp, sr)[-1]
-
-
 # --- induction on derivative orders ------------------------------------------
 
 
@@ -555,17 +558,12 @@ class ChainEvaluation:
         return not self.violations
 
 
-def _norm_of(slot: Slot, fn: TestFunction, mode: str, lp_grid, pair_grid) -> NormValue:
-    return xnorm(fn, slot.scale, order=slot.order, mode=mode, lp_grid=lp_grid, pair_grid=pair_grid)
-
-
 def evaluate_chain(
     chain: ProofChain,
     fn: TestFunction,
     mode: str = "seminorm",
     lp_grid: GridSpec | None = None,
     pair_grid: GridSpec | None = None,
-    threads: int | None = None,
     slack: float = 1e-9,
 ) -> ChainEvaluation:
     """Measure every step of a chain on one sample function.
@@ -583,12 +581,10 @@ def evaluate_chain(
         slots.add(Slot(0, inst.sr))
     ordered = sorted(slots, key=lambda sl: (sl.order, sl.scale))
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda sl: _norm_of(sl, fn, mode, lp_grid, pair_grid), ordered))
-    else:
-        values = [_norm_of(sl, fn, mode, lp_grid, pair_grid) for sl in ordered]
-    norms = dict(zip(ordered, values))
+    norms = {
+        sl: xnorm(fn, sl.scale, order=sl.order, mode=mode, lp_grid=lp_grid, pair_grid=pair_grid)
+        for sl in ordered
+    }
 
     def rel(nv: NormValue) -> float:
         return nv.error_estimate / nv.value if nv.value > 0 else 0.0

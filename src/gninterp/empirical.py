@@ -15,7 +15,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .derivation import ChainEvaluation, ProofChain, Step
+from .derivation import ChainEvaluation, ProofChain, Step, _demand_walk
 from .indices import SpaceIndex
 
 TABLE_VERSION = 1
@@ -52,6 +52,10 @@ def lookup(step: Step, n: int) -> Optional[float]:
     return load_table()["constants"].get(step_key(step, n))
 
 
+def _constant_or_envelope(step: Step, n: int) -> Optional[float]:
+    return step.constant if step.constant is not None else lookup(step, n)
+
+
 def envelope_constant(chain: ProofChain) -> Optional[float]:
     """End-to-end constant with table envelopes standing in for empirical steps.
 
@@ -59,24 +63,8 @@ def envelope_constant(chain: ProofChain) -> Optional[float]:
     None if some needed step has neither an explicit constant nor a table
     entry.
     """
-    from fractions import Fraction
-
-    if not chain.steps:
-        return None
     n = chain.instance.n
-    demand = {chain.steps[-1].output: Fraction(1)}
-    acc = 1.0
-    for step in reversed(chain.steps):
-        weight = demand.pop(step.output, None)
-        if weight is None or weight == 0:
-            continue
-        const = step.constant if step.constant is not None else lookup(step, n)
-        if const is None:
-            return None
-        acc *= const ** float(weight)
-        for slot, exp in zip(step.inputs, step.exponents):
-            demand[slot] = demand.get(slot, Fraction(0)) + weight * exp
-    return acc
+    return _demand_walk(chain.steps, lambda step: _constant_or_envelope(step, n))
 
 
 def annotate(evaluation: ChainEvaluation) -> list[tuple[Step, float, Optional[float], Optional[bool]]]:
@@ -89,7 +77,7 @@ def annotate(evaluation: ChainEvaluation) -> list[tuple[Step, float, Optional[fl
     n = evaluation.chain.instance.n
     out = []
     for m in evaluation.steps:
-        env = m.step.constant if m.step.constant is not None else lookup(m.step, n)
+        env = _constant_or_envelope(m.step, n)
         within = None if env is None else m.ratio <= env * (1 + m.rel_error + 1e-9)
         out.append((m.step, m.ratio, env, within))
     return out

@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import IntegralDiverges, NotInterpolable
 from .indices import Rational, SpaceIndex, as_rational, holder_signature
@@ -282,13 +281,13 @@ def mixed_case_integral(n: int, lam2: float, p: float) -> float:
 
     The kernel arising from averaging over the ball on which a function stays
     within its Holder modulus of the sup. Diverges for p <= -1 or lam2 <= 0.
+    Evaluated in closed form as ``B(n/lam2, p+1) / lam2`` (DLMF 5.12.1).
     """
     lam2, p = float(lam2), float(p)
     if p <= -1.0 or lam2 <= 0.0 or n < 1:
         raise IntegralDiverges(f"integral parameters out of range: n={n}, lam2={lam2}, p={p}")
     a = n / lam2
-    val, _ = quad(lambda s: (1.0 - s) ** p * s ** (a - 1.0), 0.0, 1.0)
-    return val / lam2
+    return math.exp(math.lgamma(a) + math.lgamma(p + 1.0) - math.lgamma(a + p + 1.0)) / lam2
 
 
 def unit_ball_volume(n: int) -> float:
@@ -379,17 +378,7 @@ def check_interpolation(
     mid_nv = xnorm(fn, t.mid, mode=mode, **kw)
     left_nv = xnorm(fn, t.left, mode=mode, **kw)
     right_nv = xnorm(fn, t.right, mode=mode, **kw)
-    eta = float(t.eta)
-    denom = left_nv.value**eta * right_nv.value ** (1.0 - eta)
-    ratio = mid_nv.value / denom if denom > 0 else math.inf
-    rel = 0.0
-    for nv, w in ((mid_nv, 1.0), (left_nv, eta), (right_nv, 1.0 - eta)):
-        if nv.value > 0:
-            rel += float(w * nv.error_estimate / nv.value)
-    ok = None
-    if cls.bound is not None:
-        ok = bool(ratio <= cls.bound * (1.0 + rel + slack))
-    return InterpolationReport(t, cls, mid_nv, left_nv, right_nv, ratio, cls.bound, ok, rel)
+    return _report(t, cls, mid_nv, left_nv, right_nv, slack)
 
 
 def ck_interpolation_check(
@@ -413,15 +402,25 @@ def ck_interpolation_check(
     n1 = sup_norm(fn, order=k1, grid=grid)
     n2 = sup_norm(fn, order=k2, grid=grid)
     n3 = sup_norm(fn, order=k3, grid=grid)
+    return _report(t, cls, n2, n1, n3, 1e-9)
+
+
+def _report(
+    t: InterpolationTriple,
+    cls: Classification,
+    mid: NormValue,
+    left: NormValue,
+    right: NormValue,
+    slack: float,
+) -> InterpolationReport:
+    """Ratio ``mid / (left^eta * right^(1-eta))``, its propagated relative
+    error (summed mid, left, right) and the verdict against the bound."""
     eta = float(t.eta)
-    denom = n1.value**eta * n3.value ** (1.0 - eta)
-    ratio = n2.value / denom if denom > 0 else math.inf
-    rel = float(
-        sum(
-            w * nv.error_estimate / nv.value
-            for nv, w in ((n2, 1.0), (n1, eta), (n3, 1.0 - eta))
-            if nv.value > 0
-        )
-    )
-    ok = None if cls.bound is None else bool(ratio <= cls.bound * (1.0 + rel + 1e-9))
-    return InterpolationReport(t, cls, n2, n1, n3, ratio, cls.bound, ok, rel)
+    denom = left.value**eta * right.value ** (1.0 - eta)
+    ratio = mid.value / denom if denom > 0 else math.inf
+    rel = 0.0
+    for nv, w in ((mid, 1.0), (left, eta), (right, 1.0 - eta)):
+        if nv.value > 0:
+            rel += float(w * nv.error_estimate / nv.value)
+    ok = None if cls.bound is None else bool(ratio <= cls.bound * (1.0 + rel + slack))
+    return InterpolationReport(t, cls, mid, left, right, ratio, cls.bound, ok, rel)

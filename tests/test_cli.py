@@ -204,13 +204,14 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("gridpoints = 65\n")
         monkeypatch.setenv(ENV_CONFIG, str(cfg))
-        code, _, err = run(
-            ["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--order", "0"]
-        )
-        assert code == 2
-        assert "gridpoints" in err
+        for line in ("gridpoints = 65", "threads = 2"):
+            cfg.write_text(line + "\n")
+            code, _, err = run(
+                ["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--order", "0"]
+            )
+            assert code == 2
+            assert line.split()[0] in err
 
     def test_load_config_parses_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -219,6 +220,19 @@ class TestConfig:
         assert loaded.points == 33
         assert loaded.pair_points == 17
         assert loaded.source == str(cfg)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--threads", "2"], "--threads"),
+        (["sweep", "--instance", "n=1,k=2,l=1,p=2,r=-2,theta=3/4", "--seminorm"], "--seminorm"),
+    ],
+)
+def test_removed_flags_rejected(argv, flag):
+    code, _, err = run(argv)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_version_flag():

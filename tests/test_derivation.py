@@ -291,13 +291,13 @@ class TestNumericWalk:
         scaled = evaluate_chain(chain, bump(1).scaled(10.0)).end_ratio
         assert scaled == pytest.approx(base, rel=1e-12)
 
-    def test_threaded_walk_is_deterministic(self):
+    def test_walk_is_deterministic(self):
         inst = make_instance(1, 2, 1, F(1, 3), F(-1), F(1, 2))
         chain = derive_chain(inst)
-        serial = evaluate_chain(chain, bump(1))
-        threaded = evaluate_chain(chain, bump(1), threads=4)
-        assert [m.ratio for m in serial.steps] == [m.ratio for m in threaded.steps]
-        assert serial.end_ratio == threaded.end_ratio
+        first = evaluate_chain(chain, bump(1))
+        second = evaluate_chain(chain, bump(1))
+        assert [m.ratio for m in first.steps] == [m.ratio for m in second.steps]
+        assert first.end_ratio == second.end_ratio
 
 
 class TestDilation:

@@ -12,6 +12,7 @@ from gninterp.norms import (
     GridSpec,
     _exact_order_components,
     _grid_pair_scan,
+    _max_component_field,
     _pair_scan,
     _simpson_integral,
     brute_force_holder,
@@ -68,6 +69,30 @@ class TestSimpsonWhiteBox:
 
 
 class TestLpNorm:
+    @pytest.mark.parametrize(
+        "fn,lo,hi,points",
+        [
+            (bump(1), (-1.05,), (1.05,), 5),
+            (bump_wave(1, omega=3.0).translate(0.3), (-0.8,), (1.37,), 257),
+            (bump_poly(2, deg=2).dilate(2.0), (-0.6, -0.55), (0.5, 0.61), 33),
+            (plateau(3, rho=0.5), (-1.05, -0.9, -1.2), (1.1, 1.05, 0.95), 9),
+        ],
+    )
+    def test_coarse_pass_is_the_fine_pass_at_even_nodes(self, fn, lo, hi, points):
+        # lp_norm evaluates one jet, on the refined grid, and takes the coarse
+        # Simpson pass from its even-index nodes: that has to be the field a
+        # jet on the coarse grid itself would give, bit for bit.
+        grid = GridSpec(lo, hi, points)
+        fine = grid.refined()
+        even = (slice(None, None, 2),) * grid.ndim
+        shape = (fine.points_per_axis,) * grid.ndim
+        fine_mesh = fine.mesh().reshape(shape + (grid.ndim,))[even]
+        assert np.array_equal(fine_mesh.reshape(-1, grid.ndim), grid.mesh())
+        for order in range(3):
+            coarse = _max_component_field(fn, grid.mesh(), order)
+            sliced = _max_component_field(fn, fine.mesh(), order).reshape(shape)[even]
+            assert np.array_equal(sliced.ravel(), coarse)
+
     def test_bump_l2_against_quad(self, bump1):
         oracle, est = quad(lambda x: bump_profile(x) ** 2, -1, 1, epsabs=1e-13)
         nv = lp_norm(bump1, 2)
