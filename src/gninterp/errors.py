@@ -13,6 +13,14 @@ class GNInterpError(Exception):
 
 # --- index arithmetic ---------------------------------------------------------
 
+class InexactIndex(GNInterpError, TypeError):
+    """An index was given as a float or another type with no exact value."""
+
+
+class MalformedIndex(GNInterpError, ValueError):
+    """An index string is not an exact rational of the form num or num/den."""
+
+
 class NonHolderIndex(GNInterpError):
     """A Holder signature was requested for an index with s >= 0."""
 

@@ -23,6 +23,8 @@ from .errors import (
     BorderlineIndex,
     DegenerateCondition,
     IndeterminateTheta,
+    InexactIndex,
+    MalformedIndex,
     NonHolderIndex,
     ScaleOverflow,
     ThetaOutOfRange,
@@ -46,9 +48,9 @@ def as_rational(value: Union[int, str, Fraction]) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not an exact rational: {value!r} (use num or num/den)")
+            raise MalformedIndex(f"not an exact rational: {value!r} (use num or num/den)")
         return Fraction(text)
-    raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
+    raise InexactIndex(f"cannot convert {type(value).__name__} to an exact rational")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ scalars or numpy arrays of a common shape, so seeding the variables with one
 value per grid point propagates derivative data for the whole grid in a single
 pass through the expression tree.
 
+The test-function jets (:mod:`gninterp.testfn`) use it in one variable only:
+each profile's series in ``t = 1 - |y|^2`` and each one-axis factor is built
+here, then testfn composes them into the n-variable jet with a fixed table,
+so no n-variable product runs on that path.
+
 The coefficient of the monomial ``t^alpha`` in the expansion of
 ``f(x + t)`` equals ``D^alpha f(x) / alpha!``; extracting jets is therefore a
 matter of multiplying by factorials, which the caller does.
@@ -137,16 +142,6 @@ class TaylorSeries:
         out.pop((0,) * self.nvars, None)
         return TaylorSeries(self.nvars, self.order, out)
 
-    def where(self, mask: np.ndarray, other: "TaylorSeries") -> "TaylorSeries":
-        """Pointwise select: self where mask holds, other elsewhere."""
-        out: Dict[Key, Coeff] = {}
-        keys = set(self.coeffs) | set(other.coeffs)
-        for key in sorted(keys, key=lambda k: (sum(k), k)):
-            a = self.coeffs.get(key, 0.0)
-            b = other.coeffs.get(key, 0.0)
-            out[key] = np.where(mask, a, b)
-        return TaylorSeries(self.nvars, self.order, out)
-
 
 def _horner_geometric(u: TaylorSeries) -> TaylorSeries:
     """1 + u + u^2 + ... + u^order for a series u with zero constant term."""
@@ -156,25 +151,16 @@ def _horner_geometric(u: TaylorSeries) -> TaylorSeries:
     return acc
 
 
-def reciprocal(g: TaylorSeries, safe_const: Coeff | None = None) -> TaylorSeries:
-    """1/g as a truncated series. The constant term must be nonzero.
-
-    ``safe_const`` optionally replaces the constant term in the arithmetic
-    (used by callers that mask out invalid points afterwards).
-    """
-    g0 = g.const if safe_const is None else safe_const
-    inv0 = 1.0 / g0
+def reciprocal(g: TaylorSeries) -> TaylorSeries:
+    """1/g as a truncated series. The constant term must be nonzero."""
+    inv0 = 1.0 / g.const
     u = g.drop_const().scale(-inv0)  # g = g0*(1 - u)
     return _horner_geometric(u).scale(inv0)
 
 
-def exp(g: TaylorSeries, const_exp: Coeff | None = None) -> TaylorSeries:
-    """exp(g) as a truncated series.
-
-    ``const_exp`` optionally supplies a precomputed exp of the constant term
-    (callers use it to control under/overflow at masked points).
-    """
-    e0 = np.exp(g.const) if const_exp is None else const_exp
+def exp(g: TaylorSeries) -> TaylorSeries:
+    """exp(g) as a truncated series."""
+    e0 = np.exp(g.const)
     u = g.drop_const()
     acc = TaylorSeries.constant(1.0, g.nvars, g.order)
     for j in range(g.order, 0, -1):

@@ -1,10 +1,15 @@
 """Smooth, compactly supported test functions with exact derivative jets.
 
 Every function here is built from a profile on the closed unit ball and an
-affine frame: ``u(x) = amp * P((x - center) / radius)``. Derivatives come from
-truncated Taylor arithmetic (:mod:`gninterp.taylor`), not finite differences,
-so jets are accurate to rounding even next to the support boundary where the
-profiles are flat to infinite order.
+affine frame: ``u(x) = amp * P((x - center) / radius)``. Every profile is
+``G(1 - |y|^2)``, possibly times a factor in one coordinate. Derivatives come
+from truncated Taylor arithmetic (:mod:`gninterp.taylor`), not finite
+differences: at each point inside the support, the one-variable Taylor
+coefficients of G at ``t0 = 1 - |y|^2`` are composed with the inner series
+``-sum_i (2 y_i h_i + h_i^2)`` through a Faa di Bruno table cached per
+``(n, order)``, then multiplied by the factor's one-variable series. Jets are
+accurate to rounding even next to the support boundary, where the profiles
+are flat to infinite order; points outside the support get exact zeros.
 
 Families
 --------
@@ -25,79 +30,139 @@ Functions can be described by and parsed from compact strings such as
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import product
 from typing import Callable, Dict, Sequence
 
 import numpy as np
 
 from .errors import BadParams, DslSyntaxError, JetOrderOverflow, UnknownFamily, UnsupportedDimension
-from .taylor import (
-    Key,
-    TaylorSeries,
-    exp,
-    factorial_of,
-    int_pow,
-    multi_indices,
-    reciprocal,
-    sin_cos,
-)
+from .taylor import Key, TaylorSeries, exp, factorial_of, int_pow, multi_indices, reciprocal, sin_cos
 
 MAX_JET_ORDER = 6
 MAX_DIM = 3
 
-# Below this distance-squared to the support sphere the profile is smaller
-# than any double, so the jet is set to zero outright. Keeping the threshold
-# this coarse also caps intermediate coefficient growth (~(1/cutoff)^12)
-# safely below overflow.
+# Points with t0 = 1 - |y|^2 at or below this value get an all-zero jet: every
+# profile is smaller than any double there. Keeping the threshold this coarse
+# also caps the one-variable series: the order-k coefficients of exp(-1/t)
+# pass through magnitudes of about t0^(-2k), at most 1e144 at order 6, safely
+# below overflow.
 BOUNDARY_CUTOFF = 1e-12
 
-Profile = Callable[[Sequence[TaylorSeries]], TaylorSeries]
+# (y, t0, order) -> [h^alpha] P(y + h) at in-support points y (one row per
+# multi-index of multi_indices(n, order), one column per point).
+Profile = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 
 
-def _radius2(seeds: Sequence[TaylorSeries]) -> TaylorSeries:
-    acc = seeds[0] * seeds[0]
-    for s in seeds[1:]:
-        acc = acc + s * s
-    return acc
+@lru_cache(maxsize=None)
+def _index_of(nvars: int, order: int) -> Dict[Key, int]:
+    return {key: i for i, key in enumerate(multi_indices(nvars, order))}
 
 
-def _bump(seeds: Sequence[TaylorSeries]) -> TaylorSeries:
-    g = 1.0 - _radius2(seeds)
-    g0 = np.asarray(g.const, dtype=float)
-    inside = g0 > BOUNDARY_CUTOFF
-    safe = np.where(inside, g0, 1.0)
-    w = reciprocal(g, safe_const=safe)
-    e0 = np.where(inside, np.exp(-1.0 / safe), 0.0)
-    s = exp(-w, const_exp=e0)
-    zero = TaylorSeries(s.nvars, s.order, {})
-    return s.where(inside, zero)
+@lru_cache(maxsize=None)
+def _monomial_parents(nvars: int, order: int) -> tuple[tuple[int, int], ...]:
+    """For every multi-index beta but the first: (index of beta - e_axis, axis)."""
+    index = _index_of(nvars, order)
+    out = []
+    for beta in multi_indices(nvars, order)[1:]:
+        axis = next(i for i, e in enumerate(beta) if e)
+        out.append((index[beta[:axis] + (beta[axis] - 1,) + beta[axis + 1 :]], axis))
+    return tuple(out)
 
 
-def _plateau(seeds: Sequence[TaylorSeries], rho: float) -> TaylorSeries:
-    # t runs affinely from 0 at the support sphere to 1 at the plateau edge.
-    t = (1.0 - _radius2(seeds)).scale(1.0 / (1.0 - rho * rho))
-    t0 = np.asarray(t.const, dtype=float)
-    nvars, order = t.nvars, t.order
+@lru_cache(maxsize=None)
+def _radial_table(nvars: int, order: int) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """Faa di Bruno table for G(t0 + s) with s = -sum_i (2 y_i h_i + h_i^2).
 
-    trans = (t0 > BOUNDARY_CUTOFF) & (t0 < 1.0 - BOUNDARY_CUTOFF)
-    plateau = t0 >= 1.0 - BOUNDARY_CUTOFF
+    Row alpha lists the terms (j, b, w) of
+    ``[h^alpha] = sum_{2 gamma <= alpha} w * g_j * y^beta_b`` with
+    ``beta = alpha - 2 gamma``, ``j = |alpha| - |gamma|`` and the exact integer
+    ``w = j! / (beta! gamma!) * (-2)^|beta| * (-1)^|gamma|``.
+    """
+    index = _index_of(nvars, order)
+    table = []
+    for alpha in multi_indices(nvars, order):
+        terms = []
+        for gamma in product(*(range(a // 2 + 1) for a in alpha)):
+            beta = tuple(a - 2 * c for a, c in zip(alpha, gamma))
+            j = sum(beta) + sum(gamma)
+            denom = math.prod(math.factorial(e) for e in beta + gamma)
+            w = math.factorial(j) // denom * (-2) ** sum(beta) * (-1) ** sum(gamma)
+            terms.append((j, index[beta], float(w)))
+        table.append(tuple(terms))
+    return tuple(table)
 
-    safe_t = np.where(trans, t0, 0.5)
-    s = (1.0 - t).where(trans, TaylorSeries.constant(0.5, nvars, order))
-    safe_s = np.asarray(s.const, dtype=float)
 
-    # psi = phi(t) / (phi(t) + phi(1-t)) with phi = exp(-1/.): the sum's
+@lru_cache(maxsize=None)
+def _axis_shifts(nvars: int, order: int, axis: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row alpha lists (m, index of alpha - m e_axis) for m = 0..alpha_axis."""
+    index = _index_of(nvars, order)
+    return tuple(
+        tuple((m, index[alpha[:axis] + (alpha[axis] - m,) + alpha[axis + 1 :]]) for m in range(alpha[axis] + 1))
+        for alpha in multi_indices(nvars, order)
+    )
+
+
+def _rows(series: TaylorSeries, npts: int) -> np.ndarray:
+    """Coefficients of a one-variable series as an ``(order + 1, npts)`` array."""
+    out = np.zeros((series.order + 1, npts))
+    for (k,), c in series.coeffs.items():
+        out[k] = c
+    return out
+
+
+def _radial_coeffs(y: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
+    """``[h^alpha] G(1 - |y + h|^2)`` from G's coefficients ``g[j]`` at t0 = 1 - |y|^2."""
+    cols = np.ascontiguousarray(y.T)
+    mono = [None]
+    for parent, axis in _monomial_parents(y.shape[1], order):
+        mono.append(cols[axis] if parent == 0 else mono[parent] * cols[axis])
+    out = np.zeros((len(mono), y.shape[0]))
+    for row, terms in zip(out, _radial_table(y.shape[1], order)):
+        for j, b, w in terms:
+            term = w * g[j]
+            if b:
+                term *= mono[b]
+            row += term
+    return out
+
+
+def _times_axis_series(coeffs: np.ndarray, factor: TaylorSeries, axis: int, nvars: int, order: int) -> np.ndarray:
+    """Product of an n-variable series with ``factor``, a series in ``h_axis`` alone."""
+    out = np.zeros_like(coeffs)
+    for row, shifts in zip(out, _axis_shifts(nvars, order, axis)):
+        for m, src in shifts:
+            c = factor.coeffs.get((m,))
+            if c is not None:
+                row += c * coeffs[src]
+    return out
+
+
+def _bump(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
+    g = exp(-reciprocal(TaylorSeries.variable(0, t0, 1, order)))
+    return _radial_coeffs(y, _rows(g, t0.size), order)
+
+
+def _plateau(y: np.ndarray, t0: np.ndarray, order: int, rho: float) -> np.ndarray:
+    # tau = t0 / (1 - rho^2) runs from 0 at the support sphere to 1 at the
+    # plateau edge; the profile is psi(tau), identically 1 for tau >= 1.
+    c = 1.0 / (1.0 - rho * rho)
+    flat = t0 * c >= 1.0 - BOUNDARY_CUTOFF
+    g = np.zeros((order + 1, t0.size))
+    g[0, flat] = 1.0
+    trans = ~flat
+    tau = TaylorSeries.variable(0, t0[trans], 1, order).scale(c)
+
+    # psi = phi(tau) / (phi(tau) + phi(1-tau)) with phi = exp(-1/.): the sum's
     # constant term stays >= e^-2 on the transition band, so the quotient is
     # well conditioned even where one phi underflows to zero.
-    phi_t = exp(-reciprocal(t, safe_const=safe_t), const_exp=np.where(trans, np.exp(-1.0 / safe_t), 0.0))
-    phi_s = exp(-reciprocal(s, safe_const=safe_s), const_exp=np.where(trans, np.exp(-1.0 / safe_s), 0.0))
-    denom = phi_t + phi_s
-    psi = phi_t * reciprocal(denom, safe_const=np.where(trans, np.asarray(denom.const, dtype=float), 1.0))
-
-    one = TaylorSeries.constant(np.where(plateau, 1.0, 0.0), nvars, order)
-    zero = TaylorSeries(nvars, order, {})
-    return psi.where(trans, one.where(plateau, zero))
+    phi_t = exp(-reciprocal(tau))
+    phi_s = exp(-reciprocal(1.0 - tau))
+    g[:, trans] = _rows(phi_t * reciprocal(phi_t + phi_s), np.count_nonzero(trans))
+    return _radial_coeffs(y, g, order)
 
 
 @dataclass(frozen=True)
@@ -181,18 +246,18 @@ class TestFunction:
         if pts.shape[1] != self.ndim:
             raise BadParams(f"points have dimension {pts.shape[1]}, function has {self.ndim}")
         y = (pts - np.asarray(self.center)) / self.radius
-        seeds = [TaylorSeries.variable(ax, y[:, ax], self.ndim, order) for ax in range(self.ndim)]
-        series = self.profile(seeds)
-        npts = pts.shape[0]
-        out: Dict[Key, np.ndarray] = {}
-        for alpha in multi_indices(self.ndim, order):
-            c = series.coeffs.get(alpha)
-            scale = self.amp * self.radius ** (-sum(alpha)) * factorial_of(alpha)
-            if c is None:
-                out[alpha] = np.zeros(npts)
-            else:
-                out[alpha] = np.broadcast_to(np.asarray(c, dtype=float), (npts,)) * scale
-        return out
+        r2 = y[:, 0] * y[:, 0]
+        for ax in range(1, self.ndim):
+            r2 = r2 + y[:, ax] * y[:, ax]
+        t0 = 1.0 - r2
+        keys = multi_indices(self.ndim, order)
+        scale = np.array([self.amp * self.radius ** (-sum(alpha)) * factorial_of(alpha) for alpha in keys])
+        out = np.zeros((len(keys), pts.shape[0]))
+        inside = np.flatnonzero(t0 > BOUNDARY_CUTOFF)
+        if inside.size:
+            for row, coeff, factor in zip(out, self.profile(y[inside], t0[inside], order), scale):
+                row[inside] = coeff * factor
+        return dict(zip(keys, out))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.jet(points, 0)[(0,) * self.ndim]
@@ -226,8 +291,9 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
         raise BadParams(f"axis {axis} out of range for ndim={ndim}")
     axis = int(axis)
 
-    def profile(seeds: Sequence[TaylorSeries]) -> TaylorSeries:
-        return int_pow(seeds[axis], deg) * _bump(seeds)
+    def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
+        factor = int_pow(TaylorSeries.variable(0, y[:, axis], 1, order), deg)
+        return _times_axis_series(_bump(y, t0, order), factor, axis, ndim, order)
 
     return TestFunction(ndim, f"bump_poly(R={R!r},deg={deg},axis={axis})", profile, R, (0.0,) * ndim)
 
@@ -236,9 +302,9 @@ def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
     R = _require_positive("R", R)
     omega = float(omega)
 
-    def profile(seeds: Sequence[TaylorSeries]) -> TaylorSeries:
-        _, cos_part = sin_cos(seeds[0].scale(omega))
-        return cos_part * _bump(seeds)
+    def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
+        _, cos_part = sin_cos(TaylorSeries.variable(0, y[:, 0], 1, order).scale(omega))
+        return _times_axis_series(_bump(y, t0, order), cos_part, 0, ndim, order)
 
     return TestFunction(ndim, f"bump_wave(R={R!r},omega={omega!r})", profile, R, (0.0,) * ndim)
 
@@ -249,8 +315,8 @@ def plateau(ndim: int, R: float = 1.0, rho: float = 0.5) -> TestFunction:
     if not (0.0 < rho < 1.0):
         raise BadParams(f"rho must lie strictly between 0 and 1, got {rho}")
 
-    def profile(seeds: Sequence[TaylorSeries]) -> TaylorSeries:
-        return _plateau(seeds, rho)
+    def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
+        return _plateau(y, t0, order, rho)
 
     return TestFunction(ndim, f"plateau(R={R!r},rho={rho!r})", profile, R, (0.0,) * ndim)
 

@@ -8,7 +8,10 @@ from hypothesis import given, strategies as st
 from gninterp.errors import (
     BorderlineIndex,
     DegenerateCondition,
+    GNInterpError,
     IndeterminateTheta,
+    InexactIndex,
+    MalformedIndex,
     NonHolderIndex,
     ScaleOverflow,
     ThetaOutOfRange,
@@ -55,6 +58,15 @@ class TestAsRational:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
+
+    @pytest.mark.parametrize(
+        "bad,exc,builtin", [(0.5, InexactIndex, TypeError), ("0.5", MalformedIndex, ValueError)]
+    )
+    def test_rejections_are_package_errors(self, bad, exc, builtin):
+        with pytest.raises(exc) as info:
+            as_rational(bad)
+        assert isinstance(info.value, GNInterpError)
+        assert isinstance(info.value, builtin)
 
 
 class TestSpaceIndex:

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from scipy.special import beta
 
 import gninterp
-from gninterp.errors import IntegralDiverges, NotInterpolable
+from gninterp.errors import GNInterpError, InexactIndex, IntegralDiverges, NotInterpolable
 from gninterp.interp import (
     InterpCase,
     InterpolationTriple,
@@ -236,6 +236,11 @@ class TestMixedConstant:
     def test_constant_range_check(self):
         with pytest.raises(IntegralDiverges):
             mixed_case_constant(1, F(-3, 2), F(1, 2))
+
+    def test_float_scales_raise_a_package_error(self):
+        with pytest.raises(InexactIndex) as info:
+            mixed_case_constant(1, -0.5, 0.5)
+        assert isinstance(info.value, GNInterpError)
 
     @pytest.mark.parametrize("fn", [bump(1), bump_poly(1, deg=1), bump_wave(1, omega=2.0)])
     def test_constant_dominates_measured_ratio(self, fn):

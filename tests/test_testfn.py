@@ -1,4 +1,6 @@
-"""Family functions and their descriptor grammar."""
+"""Family functions, their jets and their descriptor grammar."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from gninterp.errors import (
     UnknownFamily,
     UnsupportedDimension,
 )
-from gninterp.testfn import bump, bump_poly, bump_wave, parse_testfn, plateau
+from gninterp.norms import default_grid
+from gninterp.taylor import TaylorSeries, exp, int_pow, multi_indices, reciprocal, sin_cos
+from gninterp.testfn import MAX_JET_ORDER, bump, bump_poly, bump_wave, parse_testfn, plateau
 
 
 class TestFamilies:
@@ -120,3 +124,96 @@ class TestDescriptorGrammar:
     def test_rejects_malformed(self, bad, exc):
         with pytest.raises(exc):
             parse_testfn(bad, 1)
+
+
+# -- radial jets against n-variable series algebra -----------------------------
+
+FAMILIES = {"bump": bump, "bump_poly": bump_poly, "bump_wave": bump_wave, "plateau": plateau}
+# (shift per axis, dilation, amplitude): u(x) = amp * P((lam * x - shift) / R)
+FRAMES = [(0.0, 1.0, 1.0), (0.3, 2.5, -1.7), (-0.45, 0.6, 0.25)]
+
+
+def _family_kwargs(name: str, n: int) -> dict:
+    return {
+        "bump": {"R": 1.0},
+        "bump_poly": {"R": 1.3, "deg": 3, "axis": n - 1},
+        "bump_wave": {"R": 0.9, "omega": 4.0},
+        "plateau": {"R": 1.1, "rho": 0.4},
+    }[name]
+
+
+def _reference_profile(name, kw, seeds):
+    """The profile as products, quotients and exponentials of n-variable series."""
+    t = 1.0 - sum((s * s for s in seeds[1:]), seeds[0] * seeds[0])
+
+    def phi(v):
+        return exp(-reciprocal(v))
+
+    if name == "plateau":
+        tau = t.scale(1.0 / (1.0 - kw["rho"] ** 2))
+        return phi(tau) * reciprocal(phi(tau) + phi(1.0 - tau))
+    if name == "bump_poly":
+        return int_pow(seeds[kw["axis"]], kw["deg"]) * phi(t)
+    if name == "bump_wave":
+        return sin_cos(seeds[0].scale(kw["omega"]))[1] * phi(t)
+    return phi(t)
+
+
+def _reference_jet(name, kw, frame, x):
+    """All derivatives to MAX_JET_ORDER, zero where the true jet underflows.
+
+    The algebra runs in long double, so its own rounding (about 1e-13 of a
+    component's maximum at order 6 in double) stays out of the comparison.
+    """
+    shift, lam, amp = frame
+    n = x.shape[1]
+    y = (lam * x.astype(np.longdouble) - shift) / kw["R"]
+    t0 = 1.0 - np.sum(y * y, axis=1)
+    flat = (t0 / (1.0 - kw["rho"] ** 2) > 1.0 - 1e-9) if name == "plateau" else np.zeros(len(x), bool)
+    live = (t0 > 1e-9) & ~flat
+    seeds = [TaylorSeries.variable(i, y[live, i], n, MAX_JET_ORDER) for i in range(n)]
+    series = _reference_profile(name, kw, seeds)
+    out = {}
+    for alpha in multi_indices(n, MAX_JET_ORDER):
+        col = np.zeros(len(x), np.longdouble)
+        col[live] = series.coeffs.get(alpha, 0.0)
+        col[flat] = 0.0 if any(alpha) else 1.0
+        out[alpha] = col * amp * (lam / kw["R"]) ** sum(alpha) * math.prod(math.factorial(a) for a in alpha)
+    return out, y
+
+
+def _oracle_points(fn, kw, frame, n):
+    """The default grid plus points within 1e-6 of the support sphere and of |y| = rho."""
+    shift, lam, _ = frame
+    rng = np.random.default_rng(n)
+    dirs = rng.normal(size=(24, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = [r + d for r in (1.0, kw.get("rho", 0.5)) for d in (-1e-6, -1e-9, 1e-9, 1e-6)]
+    y = (dirs[:, None, :] * np.array(radii)[None, :, None]).reshape(-1, n)
+    return np.concatenate([default_grid(fn).mesh(), (kw["R"] * y + shift) / lam])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="the reference needs an extended long double")
+class TestRadialJetOracle:
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jet_matches_series_algebra(self, n, name, frame):
+        kw = _family_kwargs(name, n)
+        shift, lam, amp = frame
+        fn = FAMILIES[name](n, **kw).translate(np.full(n, shift)).dilate(lam).scaled(amp)
+        x = _oracle_points(fn, kw, frame, n)
+        ref, y = _reference_jet(name, kw, frame, x)
+        r2 = np.sum(y * y, axis=1)
+        outside = r2 > 1.0 + 1e-9
+        flat = r2 < kw["rho"] ** 2 - 1e-9 if name == "plateau" else np.zeros(len(x), bool)
+        assert outside.any() and (flat.any() or name != "plateau")
+        for order in range(MAX_JET_ORDER + 1):
+            jet = fn.jet(x, order)
+            assert list(jet) == list(multi_indices(n, order))
+            for alpha, got in jet.items():
+                want = ref[alpha]
+                tol = 1e-13 * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= tol, (order, alpha)
+                assert np.all(got[outside] == 0.0), alpha
+                assert np.all(got[flat] == (0.0 if any(alpha) else amp)), alpha
