@@ -126,6 +126,15 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _complete_indices(n: int, k: int, l: int, **given) -> tuple[dict, tuple]:
+    """:func:`solve_missing`, then unconstrained indices left open take ``sq``."""
+    values, unconstrained = solve_missing(n, k, l, **given)
+    for name in unconstrained:
+        if values[name] is None:
+            values[name] = values["sq"]
+    return values, unconstrained
+
+
 def parse_instance(text: str) -> InequalityInstance:
     """Instance string "n=1,k=2,l=1,p=2,r=-1,theta=3/4"; missing indices solved.
 
@@ -152,10 +161,7 @@ def parse_instance(text: str) -> InequalityInstance:
     sq = _index_scale(fields["q"]) if "q" in fields else None
     sr = _index_scale(fields["r"]) if "r" in fields else None
     theta = as_rational(fields["theta"]) if "theta" in fields else None
-    values, unconstrained = solve_missing(n, k, l, sp=sp, sq=sq, sr=sr, theta=theta)
-    for name in unconstrained:
-        if values[name] is None:
-            values[name] = values["sq"]
+    values, _ = _complete_indices(n, k, l, sp=sp, sq=sq, sr=sr, theta=theta)
     missing = [name for name, v in values.items() if v is None]
     if missing:
         raise ValueError(f"instance underdetermined: missing {missing}")
@@ -208,10 +214,7 @@ def _cmd_params(args: argparse.Namespace, cfg: RunConfig) -> int:
     if sum(v is not None for v in given.values()) < 2:
         print("error: need at least two of --p --q --r --theta", file=sys.stderr)
         return 2
-    values, unconstrained = solve_missing(args.n, args.k, args.l, **given)
-    for name in unconstrained:
-        if values[name] is None:
-            values[name] = values["sq"]
+    values, unconstrained = _complete_indices(args.n, args.k, args.l, **given)
     print(f"n={args.n} k={args.k} l={args.l}")
     for flag, name in (("p", "sp"), ("q", "sq"), ("r", "sr")):
         s = values[name]
@@ -301,7 +304,9 @@ def _cmd_derive(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     fn = parse_testfn(args.fn, args.n)
     if args.holder:
-        grid = replace(default_grid(fn, kind="pair"), points_per_axis=args.points)
+        grid = default_grid(fn, kind="pair")
+        if args.points is not None:
+            grid = replace(grid, points_per_axis=args.points)
         gamma = float(as_rational(args.p2))
         fast = holder_seminorm(fn, args.order, gamma, grid=grid, refinements=0)
         brute = brute_force_holder(fn, args.order, gamma, grid=grid)
@@ -309,11 +314,11 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
         _emit(
             cfg,
             ("mode", "points", "fast", "brute", "equal"),
-            [("holder", args.points, fast.value, brute.value, equal)],
+            [("holder", grid.points_per_axis, fast.value, brute.value, equal)],
             cfg.out,
         )
         return 0 if equal else 1
-    grid = replace(default_grid(fn, kind="lp"), points_per_axis=args.points)
+    grid = replace(default_grid(fn, kind="lp"), points_per_axis=65 if args.points is None else args.points)
     p = float(as_rational(args.p))
     fast = lp_norm(fn, p, order=args.order, grid=grid)
     brute = lp_norm_midpoint_oracle(fn, p, order=args.order, grid=grid)
@@ -322,7 +327,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     _emit(
         cfg,
         ("mode", "points", "fast", "brute", "difference", "budget", "agree"),
-        [("lp", args.points, fast.value, brute.value, abs(fast.value - brute.value), budget, agree)],
+        [("lp", grid.points_per_axis, fast.value, brute.value, abs(fast.value - brute.value), budget, agree)],
         cfg.out,
     )
     return 0 if agree else 1
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=0)
     p.add_argument("--p2", help="Holder exponent (rational), for --holder")
     p.add_argument("--p", help="Lebesgue exponent (rational), for --lp")
-    p.add_argument("--points", type=int, default=65, help="grid points per axis for both paths")
+    p.add_argument("--points", type=int, help="grid points per axis (default: the pair grid for --holder, 65 for --lp)")
     _add_common(p, points=False)
     p.set_defaults(handler=_cmd_oracle)
 

@@ -26,6 +26,7 @@ floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,8 +37,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, OracleTooLarge
 from .indices import SpaceIndex, holder_signature
-from .taylor import Key, multi_indices_exact
-from .testfn import TestFunction
+from .testfn import Key, TestFunction, multi_indices_exact
 
 # Pair grids are coarser than quadrature grids: every Holder slot scans one.
 DEFAULT_LP_POINTS = {1: 257, 2: 33, 3: 17}
@@ -129,12 +129,8 @@ class NormValue:
 
 def _max_component_field(fn: TestFunction, pts: np.ndarray, order: int) -> np.ndarray:
     """Pointwise max of |D^alpha u| over all alpha of the given total order."""
-    jet = fn.jet(pts, order)
-    keys = multi_indices_exact(fn.ndim, order)
-    field = np.abs(jet[keys[0]])
-    for key in keys[1:]:
-        field = np.maximum(field, np.abs(jet[key]))
-    return field
+    comps = _exact_order_components(fn, pts, order).values()
+    return functools.reduce(np.maximum, (np.abs(v) for v in comps))
 
 
 def _simpson_weights(m: int, h: float) -> np.ndarray:
@@ -268,6 +264,16 @@ def sup_norm(
         h = h / 4.0
     err = max(improvement, np.finfo(float).eps * abs(best))
     return NormValue(best, err, "grid_sup")
+
+
+def _top_sup(fn: TestFunction, orders: Iterable[int], grid: GridSpec | None) -> tuple[float, float]:
+    """The largest :func:`sup_norm` over ``orders`` with its error estimate; (0, 0) for none."""
+    value = err = 0.0
+    for m in orders:
+        nv = sup_norm(fn, order=m, grid=grid)
+        if nv.value > value:
+            value, err = nv.value, nv.error_estimate
+    return value, err
 
 
 # -- pairwise Holder scans ----------------------------------------------------
@@ -585,12 +591,7 @@ def xnorm(
     semi = holder_seminorm(fn, order + sig.p1, float(sig.p2), grid=pair_grid)
     if mode == "seminorm":
         return semi
-    sup_part = 0.0
-    sup_err = 0.0
-    for m in range(order, order + sig.p1 + 1):
-        nv = sup_norm(fn, order=m, grid=lp_grid)
-        if nv.value > sup_part:
-            sup_part, sup_err = nv.value, nv.error_estimate
+    sup_part, sup_err = _top_sup(fn, range(order, order + sig.p1 + 1), lp_grid)
     return NormValue(sup_part + semi.value, sup_err + semi.error_estimate, "pair_sup")
 
 
@@ -613,12 +614,7 @@ def check_holder_equality(
     if pair_grid is None:
         pair_grid = default_grid(fn, "pair")
     down = holder_signature(SpaceIndex(idx.s - Fraction(1, fn.ndim), fn.ndim))
-    sup_part = 0.0
-    sup_err = 0.0
-    for m in range(1, down.p1 + 1):
-        nv = sup_norm(fn, order=m, grid=lp_grid)
-        if nv.value > sup_part:
-            sup_part, sup_err = nv.value, nv.error_estimate
+    sup_part, sup_err = _top_sup(fn, range(1, down.p1 + 1), lp_grid)
     semi = holder_seminorm(fn, down.p1, float(down.p2), grid=pair_grid)
     lhs = NormValue(sup_part + semi.value, sup_err + semi.error_estimate, "pair_sup")
     rhs = xnorm(fn, idx.s, order=1, mode="full", lp_grid=lp_grid, pair_grid=pair_grid)

@@ -3,11 +3,13 @@
 Every function here is built from a profile on the closed unit ball and an
 affine frame: ``u(x) = amp * P((x - center) / radius)``. Every profile is
 ``G(1 - |y|^2)``, possibly times a factor in one coordinate. Derivatives come
-from truncated Taylor arithmetic (:mod:`gninterp.taylor`), not finite
-differences: at each point inside the support, the one-variable Taylor
-coefficients of G at ``t0 = 1 - |y|^2`` are composed with the inner series
+from truncated one-variable Taylor series, not finite differences: at each
+point inside the support, the Taylor coefficients of G at ``t0 = 1 - |y|^2``
+come from the standard product, reciprocal and exponential recurrences on
+dense coefficient rows (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., ch. 13). They are composed with the inner series
 ``-sum_i (2 y_i h_i + h_i^2)`` through a Faa di Bruno table cached per
-``(n, order)``, then multiplied by the factor's one-variable series. Jets are
+``(n, order)``, then multiplied by the factor's closed-form series. Jets are
 accurate to rounding even next to the support boundary, where the profiles
 are flat to infinite order; points outside the support get exact zeros.
 
@@ -40,7 +42,6 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 
 from .errors import BadParams, DslSyntaxError, JetOrderOverflow, UnknownFamily, UnsupportedDimension
-from .taylor import Key, TaylorSeries, exp, factorial_of, int_pow, multi_indices, reciprocal, sin_cos
 
 MAX_JET_ORDER = 6
 MAX_DIM = 3
@@ -55,6 +56,66 @@ BOUNDARY_CUTOFF = 1e-12
 # (y, t0, order) -> [h^alpha] P(y + h) at in-support points y (one row per
 # multi-index of multi_indices(n, order), one column per point).
 Profile = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+
+Key = tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def multi_indices(nvars: int, max_order: int) -> tuple[Key, ...]:
+    """All exponent tuples with total degree <= max_order, canonically ordered."""
+    out = [key for key in product(range(max_order + 1), repeat=nvars) if sum(key) <= max_order]
+    out.sort(key=lambda key: (sum(key), key))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def multi_indices_exact(nvars: int, order: int) -> tuple[Key, ...]:
+    """Exponent tuples with total degree exactly ``order``, canonically ordered."""
+    return tuple(k for k in multi_indices(nvars, order) if sum(k) == order)
+
+
+# -- one-variable series as (order + 1, npts) coefficient rows -----------------
+
+
+def _linear(const: np.ndarray, slope: float, order: int) -> np.ndarray:
+    """The series ``const + slope * h``."""
+    out = np.zeros((order + 1, const.size))
+    out[0] = const
+    if order:
+        out[1] = slope
+    return out
+
+
+def _conv(a: np.ndarray, b: np.ndarray, k: int, start: int = 0) -> np.ndarray:
+    """``sum_{j=start..k} a_j b_{k-j}``, summed in ascending j."""
+    acc = a[start] * b[k - start]
+    for j in range(start + 1, k + 1):
+        acc += a[j] * b[k - j]
+    return acc
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product: ``c_k = sum_j a_j b_{k-j}``."""
+    return np.array([_conv(a, b, k) for k in range(len(a))])
+
+
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    """``1/a`` from ``a * r = 1``: ``r_k = -r_0 sum_{j>=1} a_j r_{k-j}``. Needs ``a_0 != 0``."""
+    out = np.empty_like(a)
+    out[0] = 1.0 / a[0]
+    for k in range(1, len(a)):
+        out[k] = -out[0] * _conv(a, out, k, 1)
+    return out
+
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` from ``e' = a' e``: ``k e_k = sum_{j>=1} j a_j e_{k-j}``."""
+    slopes = a * np.arange(len(a))[:, None]
+    out = np.empty_like(a)
+    out[0] = np.exp(a[0])
+    for k in range(1, len(a)):
+        out[k] = _conv(slopes, out, k, 1) / k
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -106,14 +167,6 @@ def _axis_shifts(nvars: int, order: int, axis: int) -> tuple[tuple[tuple[int, in
     )
 
 
-def _rows(series: TaylorSeries, npts: int) -> np.ndarray:
-    """Coefficients of a one-variable series as an ``(order + 1, npts)`` array."""
-    out = np.zeros((series.order + 1, npts))
-    for (k,), c in series.coeffs.items():
-        out[k] = c
-    return out
-
-
 def _radial_coeffs(y: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
     """``[h^alpha] G(1 - |y + h|^2)`` from G's coefficients ``g[j]`` at t0 = 1 - |y|^2."""
     cols = np.ascontiguousarray(y.T)
@@ -130,20 +183,38 @@ def _radial_coeffs(y: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _times_axis_series(coeffs: np.ndarray, factor: TaylorSeries, axis: int, nvars: int, order: int) -> np.ndarray:
-    """Product of an n-variable series with ``factor``, a series in ``h_axis`` alone."""
+def _times_axis_series(coeffs: np.ndarray, factor: list[np.ndarray], axis: int, nvars: int, order: int) -> np.ndarray:
+    """Product of an n-variable series with ``factor``, the rows of a series in ``h_axis`` alone (absent rows are 0)."""
     out = np.zeros_like(coeffs)
     for row, shifts in zip(out, _axis_shifts(nvars, order, axis)):
-        for m, src in shifts:
-            c = factor.coeffs.get((m,))
-            if c is not None:
-                row += c * coeffs[src]
+        for m, src in shifts[: len(factor)]:
+            row += factor[m] * coeffs[src]
     return out
 
 
+def _power_rows(x: np.ndarray, deg: int, order: int) -> list[np.ndarray]:
+    """``[h^m] (x + h)^deg = C(deg, m) x^(deg - m)`` for ``m <= min(deg, order)``, powers by repeated products."""
+    powers = [np.ones_like(x)]
+    for _ in range(deg):
+        powers.append(powers[-1] * x)
+    return [math.comb(deg, m) * powers[deg - m] for m in range(min(deg, order) + 1)]
+
+
+def _cos_rows(x: np.ndarray, omega: float, order: int) -> list[np.ndarray]:
+    """``[h^m] cos(omega (x + h)) = omega^m / m! * cos(omega x + m pi/2)`` for ``m <= order``."""
+    wx = x * omega
+    c, s = np.cos(wx), np.sin(wx)
+    cycle = (c, -s, -c, s)
+    return [omega**m / math.factorial(m) * cycle[m % 4] for m in range(order + 1)]
+
+
+def _phi(t: np.ndarray) -> np.ndarray:
+    """``exp(-1/t)`` for a series t with positive constant row."""
+    return _exp(-_reciprocal(t))
+
+
 def _bump(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
-    g = exp(-reciprocal(TaylorSeries.variable(0, t0, 1, order)))
-    return _radial_coeffs(y, _rows(g, t0.size), order)
+    return _radial_coeffs(y, _phi(_linear(t0, 1.0, order)), order)
 
 
 def _plateau(y: np.ndarray, t0: np.ndarray, order: int, rho: float) -> np.ndarray:
@@ -154,14 +225,14 @@ def _plateau(y: np.ndarray, t0: np.ndarray, order: int, rho: float) -> np.ndarra
     g = np.zeros((order + 1, t0.size))
     g[0, flat] = 1.0
     trans = ~flat
-    tau = TaylorSeries.variable(0, t0[trans], 1, order).scale(c)
+    tau = t0[trans] * c
 
     # psi = phi(tau) / (phi(tau) + phi(1-tau)) with phi = exp(-1/.): the sum's
     # constant term stays >= e^-2 on the transition band, so the quotient is
     # well conditioned even where one phi underflows to zero.
-    phi_t = exp(-reciprocal(tau))
-    phi_s = exp(-reciprocal(1.0 - tau))
-    g[:, trans] = _rows(phi_t * reciprocal(phi_t + phi_s), np.count_nonzero(trans))
+    phi_t = _phi(_linear(tau, c, order))
+    phi_s = _phi(_linear(1.0 - tau, -c, order))
+    g[:, trans] = _mul(phi_t, _reciprocal(phi_t + phi_s))
     return _radial_coeffs(y, g, order)
 
 
@@ -251,7 +322,8 @@ class TestFunction:
             r2 = r2 + y[:, ax] * y[:, ax]
         t0 = 1.0 - r2
         keys = multi_indices(self.ndim, order)
-        scale = np.array([self.amp * self.radius ** (-sum(alpha)) * factorial_of(alpha) for alpha in keys])
+        factorials = [math.prod(map(math.factorial, alpha)) for alpha in keys]
+        scale = np.array([self.amp * self.radius ** (-sum(alpha)) * f for alpha, f in zip(keys, factorials)])
         out = np.zeros((len(keys), pts.shape[0]))
         inside = np.flatnonzero(t0 > BOUNDARY_CUTOFF)
         if inside.size:
@@ -292,7 +364,9 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
     axis = int(axis)
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
-        factor = int_pow(TaylorSeries.variable(0, y[:, axis], 1, order), deg)
+        # The factor is built before the bump series: in the other order the
+        # 3-D order-6 product measured up to 40% slower (memory placement).
+        factor = _power_rows(y[:, axis], deg, order)
         return _times_axis_series(_bump(y, t0, order), factor, axis, ndim, order)
 
     return TestFunction(ndim, f"bump_poly(R={R!r},deg={deg},axis={axis})", profile, R, (0.0,) * ndim)
@@ -303,8 +377,8 @@ def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
     omega = float(omega)
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
-        _, cos_part = sin_cos(TaylorSeries.variable(0, y[:, 0], 1, order).scale(omega))
-        return _times_axis_series(_bump(y, t0, order), cos_part, 0, ndim, order)
+        factor = _cos_rows(y[:, 0], omega, order)  # first, as in bump_poly
+        return _times_axis_series(_bump(y, t0, order), factor, 0, ndim, order)
 
     return TestFunction(ndim, f"bump_wave(R={R!r},omega={omega!r})", profile, R, (0.0,) * ndim)
 

@@ -158,16 +158,29 @@ class TestDerive:
 
 
 class TestOracle:
-    def test_holder_brute_force_agrees_bitwise(self):
+    @pytest.mark.parametrize("n,points", [(1, "129"), (2, "25"), (3, "9")])
+    def test_holder_brute_force_agrees_bitwise(self, n, points):
+        # Without --points the scan runs on holder_seminorm's default pair grid.
         code, out, err = run(
-            ["oracle", "--holder", "--fn", "bump(R=1.0)", "--n", "1",
+            ["oracle", "--holder", "--fn", "bump(R=1.0)", "--n", str(n),
              "--order", "0", "--p2", "1/2"]
         )
         assert code == 0
         assert err == ""
         (row,) = csv_rows(out)
+        assert row["points"] == points
         assert row["equal"] == "True"
         assert row["fast"] == row["brute"]
+
+    def test_points_flag_sets_the_holder_grid(self):
+        code, out, _ = run(
+            ["oracle", "--holder", "--fn", "bump(R=1.0)", "--n", "1",
+             "--order", "0", "--p2", "1/2", "--points", "65"]
+        )
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert row["points"] == "65"
+        assert row["equal"] == "True"
 
     def test_lp_midpoint_within_budget(self):
         code, out, _ = run(

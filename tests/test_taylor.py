@@ -1,18 +1,25 @@
-"""Jet engine checks against finite differences and closed forms."""
+"""Taylor series checks: the jet kernel's one-variable recurrences, the
+oracle's n-variable series algebra, and jets against finite differences and
+closed forms."""
+
+from math import factorial
 
 import numpy as np
 import pytest
 
-from gninterp.taylor import (
-    TaylorSeries,
-    exp,
-    int_pow,
+from gninterp.testfn import (
+    _cos_rows,
+    _exp,
+    _linear,
+    _mul,
+    _power_rows,
+    _reciprocal,
+    bump,
+    bump_wave,
     multi_indices,
     multi_indices_exact,
-    reciprocal,
-    sin_cos,
 )
-from gninterp.testfn import bump, bump_wave
+from series_algebra import TaylorSeries, exp, int_pow, reciprocal, sin_cos
 
 
 def fd_derivative(f, x: float, order: int, h: float = 1e-2) -> float:
@@ -34,6 +41,55 @@ def fd_derivative(f, x: float, order: int, h: float = 1e-2) -> float:
 
     coarse, fine = stencil(h), stencil(h / 2)
     return (4 * fine - coarse) / 3
+
+
+def _rows_of(series: TaylorSeries, npts: int) -> np.ndarray:
+    """A one-variable oracle series as (order + 1, npts) rows, absent keys zero."""
+    return np.array([np.broadcast_to(series.coeffs.get((k,), 0.0), npts) for k in range(series.order + 1)])
+
+
+class TestKernel:
+    """The one-variable recurrences jets are built from."""
+
+    def test_reciprocal_times_self_is_unit_series(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-2.0, 2.0, size=(7, 40))
+        a[0] = rng.uniform(0.2, 3.0, size=40) * rng.choice([-1.0, 1.0], size=40)
+        prod = _mul(a, _reciprocal(a))
+        np.testing.assert_allclose(prod[0], 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(prod[1:], 0.0, rtol=0, atol=1e-11)
+
+    def test_exp_of_seed_is_inverse_factorials(self):
+        e = _exp(_linear(np.array([0.0, 0.0]), 1.0, 6))
+        for j in range(7):
+            np.testing.assert_allclose(e[j], 1.0 / factorial(j), rtol=1e-15, atol=0)
+
+    def test_exp_of_shifted_seed(self):
+        t0 = np.array([-1.5, 0.2, 2.0])
+        e = _exp(_linear(t0, 1.0, 6))
+        for j in range(7):
+            np.testing.assert_allclose(e[j], np.exp(t0) / factorial(j), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("order", [0, 2, 6])
+    def test_power_rows_match_oracle(self, deg, order):
+        x = np.linspace(-1.0, 1.0, 9)
+        got = np.array(_power_rows(x, deg, order))
+        want = _rows_of(int_pow(TaylorSeries.variable(0, x, 1, order), deg), x.size)
+        assert len(got) == min(deg, order) + 1
+        np.testing.assert_allclose(got, want[: len(got)], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(want[len(got) :], 0.0)
+        np.testing.assert_array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("omega", [0.5, 3.0, 4.0])
+    @pytest.mark.parametrize("order", [0, 3, 6])
+    def test_cos_rows_match_oracle(self, omega, order):
+        x = np.linspace(-1.0, 1.0, 9)
+        got = np.array(_cos_rows(x, omega, order))
+        _, want = sin_cos(TaylorSeries.variable(0, x, 1, order).scale(omega))
+        want = _rows_of(want, x.size)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, np.max(np.abs(want))))
+        np.testing.assert_array_equal(got[0], np.cos(x * omega))
 
 
 class TestSeriesAlgebra:
@@ -61,8 +117,6 @@ class TestSeriesAlgebra:
     def test_exp_matches_series(self):
         x = TaylorSeries.variable(0, np.array([0.0]), 1, 6)
         e = exp(x)
-        from math import factorial
-
         for j in range(7):
             assert e.coeffs.get((j,), np.zeros(1))[0] == pytest.approx(
                 1.0 / factorial(j), abs=1e-14

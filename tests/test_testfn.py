@@ -13,8 +13,8 @@ from gninterp.errors import (
     UnsupportedDimension,
 )
 from gninterp.norms import default_grid
-from gninterp.taylor import TaylorSeries, exp, int_pow, multi_indices, reciprocal, sin_cos
-from gninterp.testfn import MAX_JET_ORDER, bump, bump_poly, bump_wave, parse_testfn, plateau
+from gninterp.testfn import MAX_JET_ORDER, bump, bump_poly, bump_wave, multi_indices, parse_testfn, plateau
+from series_algebra import TaylorSeries, exp, int_pow, reciprocal, sin_cos
 
 
 class TestFamilies:
