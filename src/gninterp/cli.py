@@ -92,12 +92,10 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(os.environ.get(ENV_CONFIG))
-    for key in ("points", "pair_points", "seed", "out"):
+    for key in ("points", "pair_points", "tolerance_ratio", "seed", "out"):
         value = getattr(args, key, None)
         if value is not None:
             cfg = replace(cfg, **{key: value})
-    if getattr(args, "tolerance_ratio", None) is not None:
-        cfg = replace(cfg, tolerance_ratio=args.tolerance_ratio)
     return cfg
 
 
@@ -305,8 +303,8 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     fn = parse_testfn(args.fn, args.n)
     if args.holder:
         grid = default_grid(fn, kind="pair")
-        if args.points is not None:
-            grid = replace(grid, points_per_axis=args.points)
+        if cfg.points is not None:
+            grid = replace(grid, points_per_axis=cfg.points)
         gamma = float(as_rational(args.p2))
         fast = holder_seminorm(fn, args.order, gamma, grid=grid, refinements=0)
         brute = brute_force_holder(fn, args.order, gamma, grid=grid)
@@ -318,7 +316,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
             cfg.out,
         )
         return 0 if equal else 1
-    grid = replace(default_grid(fn, kind="lp"), points_per_axis=65 if args.points is None else args.points)
+    grid = replace(default_grid(fn, kind="lp"), points_per_axis=65 if cfg.points is None else cfg.points)
     p = float(as_rational(args.p))
     fast = lp_norm(fn, p, order=args.order, grid=grid)
     brute = lp_norm_midpoint_oracle(fn, p, order=args.order, grid=grid)
@@ -342,7 +340,6 @@ def _add_common(sub: argparse.ArgumentParser, points: bool = True) -> None:
         sub.add_argument("--points", type=int, help="integration grid points per axis (odd)")
         sub.add_argument("--pair-points", dest="pair_points", type=int, help="pair-scan grid points per axis")
     sub.add_argument("--seed", type=int, help="seed recorded in output headers")
-    sub.add_argument("--tolerance-ratio", dest="tolerance_ratio", type=float, help="allowed ratio spread in sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="e.g. \"n=1,k=2,l=1,p=2,r=-1,theta=3/4\"")
     p.add_argument("--fn", default="bump(R=1)")
     p.add_argument("--lambdas", type=_float_list, default=[0.5, 1.0, 2.0])
+    p.add_argument("--tolerance-ratio", dest="tolerance_ratio", type=float, help="allowed ratio spread")
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -403,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=0)
     p.add_argument("--p2", help="Holder exponent (rational), for --holder")
     p.add_argument("--p", help="Lebesgue exponent (rational), for --lp")
-    p.add_argument("--points", type=int, help="grid points per axis (default: the pair grid for --holder, 65 for --lp)")
+    p.add_argument(
+        "--points",
+        type=int,
+        help="grid points per axis (default: the config's points, else the pair grid for --holder, 65 for --lp)",
+    )
     _add_common(p, points=False)
     p.set_defaults(handler=_cmd_oracle)
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadCertificate,
@@ -30,9 +30,9 @@ from .indices import (
     SpaceIndex,
     as_rational,
     sobolev_sharp,
-    validate_instance,
+    structural_violations,
 )
-from .interp import InterpolationTriple, classify_triple
+from .interp import VERDICT_SLACK, InterpolationTriple, classify_triple
 from .norms import GridSpec, NormValue, xnorm
 from .testfn import TestFunction
 
@@ -122,17 +122,10 @@ def chain_constant(steps: Sequence[Step]) -> Optional[float]:
     """End-to-end constant of a step list, or None if any needed step is empirical.
 
     Walks backward from the final output, propagating exponent demand onto
-    input slots.  Parent steps of compound rules already summarize their
-    subtree, so the walk only visits the resolving structure.
+    input slots, and multiplies ``step.constant ** demand`` over the steps
+    the final output needs.  Parent steps of compound rules already summarize
+    their subtree, so the walk only visits the resolving structure.
     """
-    return _demand_walk(steps, lambda step: step.constant)
-
-
-def _demand_walk(
-    steps: Sequence[Step], constant_of: Callable[[Step], Optional[float]]
-) -> Optional[float]:
-    """Product of ``constant_of(step) ** demand`` over the steps the final
-    output needs, walking backward; None if a needed constant is None."""
     if not steps:
         return None
     demand: dict[Slot, Fraction] = {steps[-1].output: Fraction(1)}
@@ -141,10 +134,9 @@ def _demand_walk(
         weight = demand.pop(step.output, None)
         if weight is None or weight == 0:
             continue
-        const = constant_of(step)
-        if const is None:
+        if step.constant is None:
             return None
-        acc *= const ** float(weight)
+        acc *= step.constant ** float(weight)
         for slot, exp in zip(step.inputs, step.exponents):
             demand[slot] = demand.get(slot, Fraction(0)) + weight * exp
     return acc
@@ -430,45 +422,20 @@ def _build_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[li
 # --- full derivation ----------------------------------------------------------
 
 
-def _structural_violations(inst: InequalityInstance) -> list[str]:
-    """Failures that make the chain construction itself meaningless.
-
-    The stricter validate_instance check also rejects any s = 0 exponent and
-    the embedding-side exclusion set; the machinery here handles scale zero
-    fine, and exclusion hits surface in-flight as InternalBorderline when
-    the embedding leg is actually built.
-    """
-    out = []
-    if inst.n < 1:
-        out.append(f"dimension n={inst.n} must be >= 1")
-    if not (1 <= inst.l < inst.k):
-        out.append(f"orders must satisfy 1 <= l < k, got l={inst.l}, k={inst.k}")
-    for name, s in (("sp", inst.sp), ("sq", inst.sq), ("sr", inst.sr)):
-        if s > 1:
-            out.append(f"{name}={s} above the scale")
-    if inst.n >= 1 and 1 <= inst.l < inst.k:
-        lhs = inst.sq - Fraction(inst.l, inst.n)
-        rhs = inst.theta * (inst.sp - Fraction(inst.k, inst.n)) + (1 - inst.theta) * inst.sr
-        if lhs != rhs:
-            out.append(f"balance fails: sq - l/n = {lhs}, weighted right side = {rhs}")
-        if not (Fraction(inst.l, inst.k) <= inst.theta <= 1):
-            out.append(f"theta={inst.theta} outside [{Fraction(inst.l, inst.k)}, 1]")
-    return out
-
-
 def derive_chain(inst: InequalityInstance) -> ProofChain:
     """Derive a complete chain for one instance.
 
     Weight 1 is the pure embedding leg; weight l/k is the pure convexity
     leg; anything strictly between takes both legs and joins them with a
-    final interpolation.  Structurally broken instances raise
-    InvalidInstance; instances whose embedding descent passes through the
-    borderline scale 1/n raise InternalBorderline carrying whatever steps
-    were built, unless the weight is exactly l/k and that leg never runs.
+    final interpolation.  Instances with a structural violation (see
+    :func:`structural_violations`) raise InvalidInstance; instances whose
+    embedding descent passes through the borderline scale 1/n raise
+    InternalBorderline carrying whatever steps were built, unless the weight
+    is exactly l/k and that leg never runs.
     """
-    problems = _structural_violations(inst)
+    problems = structural_violations(inst)
     if problems:
-        raise InvalidInstance("; ".join(problems))
+        raise InvalidInstance("; ".join(v.message for v in problems))
     lk = Fraction(inst.l, inst.k)
 
     if inst.theta == 1:
@@ -564,15 +531,14 @@ def evaluate_chain(
     mode: str = "seminorm",
     lp_grid: GridSpec | None = None,
     pair_grid: GridSpec | None = None,
-    slack: float = 1e-9,
 ) -> ChainEvaluation:
     """Measure every step of a chain on one sample function.
 
     A step with an explicit constant is flagged as a violation when its
     measured ratio exceeds the constant beyond the combined error estimates
-    of the norms involved; this is only asserted in seminorm mode, where
-    explicit constants are exact claims.  Empirical steps are measured but
-    never flagged.
+    of the norms involved plus ``VERDICT_SLACK``; this is only asserted in
+    seminorm mode, where explicit constants are exact claims.  Empirical
+    steps are measured but never flagged.
     """
     inst = chain.instance
     slots = {st.output for st in chain.steps} | {sl for st in chain.steps for sl in st.inputs}
@@ -605,7 +571,7 @@ def evaluate_chain(
         flag = (
             mode == "seminorm"
             and step.constant is not None
-            and ratio > step.constant * (1 + rel_total + slack)
+            and ratio > step.constant * (1 + rel_total + VERDICT_SLACK)
         )
         measured.append(StepMeasurement(step, lhs, rhs, ratio, rel_total, flag))
 

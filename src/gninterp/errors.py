@@ -90,7 +90,7 @@ class IntegralDiverges(GNInterpError):
 # --- derivation engine --------------------------------------------------------
 
 class InvalidInstance(GNInterpError):
-    """A derivation was requested for an instance that fails validation."""
+    """An instance cannot be solved or derived: n < 1, or a structural violation."""
 
 
 class InvalidBase(GNInterpError):

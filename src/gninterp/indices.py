@@ -24,6 +24,7 @@ from .errors import (
     DegenerateCondition,
     IndeterminateTheta,
     InexactIndex,
+    InvalidInstance,
     MalformedIndex,
     NonHolderIndex,
     ScaleOverflow,
@@ -196,7 +197,18 @@ class ValidityReport:
     violations: tuple[Violation, ...]
 
 
-def _range_violations(inst: InequalityInstance) -> list[Violation]:
+# Report order of violation kinds.
+_KINDS = ("range", "balance", "exclusion", "theta")
+
+
+def structural_violations(inst: InequalityInstance) -> list[Violation]:
+    """Range, balance and theta-window violations: the failures that make a
+    derivation meaningless.
+
+    The balance is only defined for n >= 1 and the theta window [l/k, 1]
+    for k != 0, so each is checked only then; a bad n or k is already a
+    range violation.
+    """
     out = []
     if inst.n < 1:
         out.append(Violation("range", f"dimension n={inst.n} must be >= 1"))
@@ -205,26 +217,34 @@ def _range_violations(inst: InequalityInstance) -> list[Violation]:
     for name, s in (("sp", inst.sp), ("sq", inst.sq), ("sr", inst.sr)):
         if s > 1:
             out.append(Violation("range", f"{name}={s} above the scale (p in (0,1) excluded)"))
-        elif s == 0:
-            out.append(Violation("range", f"{name}=0 (p = infinity) is outside the admissible exponents"))
+    if inst.n >= 1:
+        lhs = inst.sq - Fraction(inst.l, inst.n)
+        rhs = inst.theta * (inst.sp - Fraction(inst.k, inst.n)) + (1 - inst.theta) * inst.sr
+        if lhs != rhs:
+            out.append(
+                Violation("balance", f"sq - l/n = {lhs} but theta*(sp - k/n) + (1-theta)*sr = {rhs}")
+            )
+    if inst.k != 0:
+        lo = Fraction(inst.l, inst.k)
+        if not (lo <= inst.theta <= 1):
+            out.append(Violation("theta", f"theta={inst.theta} outside [{lo}, 1]"))
     return out
 
 
 def validate_instance(inst: InequalityInstance) -> ValidityReport:
     """Check range, balance, the p-exclusion set, and the theta window.
 
-    The exclusion rejects n*sp in {1, ..., k-l}: exactly the values for which
-    some index in the descent from order k to order l lands on the borderline
+    Beyond :func:`structural_violations`, rejects any index at scale 0 and
+    the exclusion n*sp in {1, ..., k-l}: exactly the values for which some
+    index in the descent from order k to order l lands on the borderline
     p = n and the sharp embedding chain breaks.
     """
-    violations = _range_violations(inst)
-
-    lhs = inst.sq - Fraction(inst.l, inst.n)
-    rhs = inst.theta * (inst.sp - Fraction(inst.k, inst.n)) + (1 - inst.theta) * inst.sr
-    if lhs != rhs:
-        violations.append(
-            Violation("balance", f"sq - l/n = {lhs} but theta*(sp - k/n) + (1-theta)*sr = {rhs}")
-        )
+    violations = structural_violations(inst)
+    for name, s in (("sp", inst.sp), ("sq", inst.sq), ("sr", inst.sr)):
+        if s == 0:
+            violations.append(
+                Violation("range", f"{name}=0 (p = infinity) is outside the admissible exponents")
+            )
 
     nsp = inst.n * inst.sp
     if nsp.denominator == 1 and 1 <= nsp.numerator <= inst.k - inst.l:
@@ -232,10 +252,7 @@ def validate_instance(inst: InequalityInstance) -> ValidityReport:
             Violation("exclusion", f"n*sp = {nsp} lies in the excluded set {{1,...,{inst.k - inst.l}}}")
         )
 
-    lo = Fraction(inst.l, inst.k)
-    if not (lo <= inst.theta <= 1):
-        violations.append(Violation("theta", f"theta={inst.theta} outside [{lo}, 1]"))
-
+    violations.sort(key=lambda v: _KINDS.index(v.kind))
     return ValidityReport(ok=not violations, violations=tuple(violations))
 
 
@@ -267,8 +284,11 @@ def solve_missing(
     ``sp, sq, sr, theta`` to its (given or solved) Fraction, and
     ``unconstrained`` lists names whose value does not influence the balance
     (e.g. ``sr`` when theta = 1). Raises DegenerateCondition when the system
-    cannot determine the unknowns.
+    cannot determine the unknowns, and InvalidInstance for n < 1, where
+    the balance is undefined.
     """
+    if n < 1:
+        raise InvalidInstance(f"dimension must be positive, got n={n}")
     known = {"sp": sp, "sq": sq, "sr": sr, "theta": theta}
     missing = [name for name, v in known.items() if v is None]
     if not missing:

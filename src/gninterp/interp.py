@@ -41,6 +41,10 @@ from .indices import Rational, SpaceIndex, as_rational, holder_signature
 from .norms import GridSpec, NormValue, sup_norm, xnorm
 from .testfn import TestFunction
 
+# Relative slack added to the propagated grid errors before a measured ratio
+# counts as exceeding an explicit constant.
+VERDICT_SLACK = 1e-9
+
 
 class InterpCase(str, Enum):
     LEBESGUE = "lebesgue"
@@ -358,7 +362,6 @@ def check_interpolation(
     mode: str = "seminorm",
     lp_grid: GridSpec | None = None,
     pair_grid: GridSpec | None = None,
-    slack: float = 1e-9,
 ) -> InterpolationReport:
     """Measure the interpolation ratio for one function and compare it to the
     classified bound (when one exists).
@@ -366,7 +369,7 @@ def check_interpolation(
     ``ratio = mid / (left^eta * right^(1-eta))`` with all three norms taken
     in the requested mode. ``ok`` is None for cases without a quantitative
     bound, else whether the ratio stays under the bound after inflating it by
-    the propagated grid-error estimates plus ``slack``.
+    the propagated grid-error estimates plus ``VERDICT_SLACK``.
     """
     cls = classify_triple(t)
     if cls.case is InterpCase.CK_STEP:
@@ -378,7 +381,7 @@ def check_interpolation(
     mid_nv = xnorm(fn, t.mid, mode=mode, **kw)
     left_nv = xnorm(fn, t.left, mode=mode, **kw)
     right_nv = xnorm(fn, t.right, mode=mode, **kw)
-    return _report(t, cls, mid_nv, left_nv, right_nv, slack)
+    return _report(t, cls, mid_nv, left_nv, right_nv)
 
 
 def ck_interpolation_check(
@@ -402,7 +405,7 @@ def ck_interpolation_check(
     n1 = sup_norm(fn, order=k1, grid=grid)
     n2 = sup_norm(fn, order=k2, grid=grid)
     n3 = sup_norm(fn, order=k3, grid=grid)
-    return _report(t, cls, n2, n1, n3, 1e-9)
+    return _report(t, cls, n2, n1, n3)
 
 
 def _report(
@@ -411,7 +414,6 @@ def _report(
     mid: NormValue,
     left: NormValue,
     right: NormValue,
-    slack: float,
 ) -> InterpolationReport:
     """Ratio ``mid / (left^eta * right^(1-eta))``, its propagated relative
     error (summed mid, left, right) and the verdict against the bound."""
@@ -422,5 +424,5 @@ def _report(
     for nv, w in ((mid, 1.0), (left, eta), (right, 1.0 - eta)):
         if nv.value > 0:
             rel += float(w * nv.error_estimate / nv.value)
-    ok = None if cls.bound is None else bool(ratio <= cls.bound * (1.0 + rel + slack))
+    ok = None if cls.bound is None else bool(ratio <= cls.bound * (1.0 + rel + VERDICT_SLACK))
     return InterpolationReport(t, cls, mid, left, right, ratio, cls.bound, ok, rel)

@@ -58,6 +58,21 @@ _PRUNE_MARGIN = 1e-9
 # Pairs per vectorised batch of the offset scan.
 _OFFSET_BATCH = 1 << 15
 
+# Default grids cover the support box scaled by this factor.
+_GRID_MARGIN = 1.05
+
+# lp_norm refuses a grid whose two Simpson passes differ by more than this
+# relative amount: its Richardson estimate assumes they nearly agree.
+_COARSE_TOL = 0.10
+
+# Local sweeps around the argmax in sup_norm.
+_SUP_REFINEMENTS = 2
+
+
+def _mesh(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor product of ``axes`` as an (npoints, ndim) array, C order."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -96,22 +111,21 @@ class GridSpec:
 
     def mesh(self) -> np.ndarray:
         """All grid points as an (npoints, ndim) array, C order."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return _mesh(self.axes())
 
     def refined(self) -> "GridSpec":
         """Same box with doubled resolution (shared nodes at even indices)."""
         return GridSpec(self.lo, self.hi, 2 * self.points_per_axis - 1)
 
 
-def default_grid(fn: TestFunction, kind: str = "lp", margin: float = 1.05) -> GridSpec:
+def default_grid(fn: TestFunction, kind: str = "lp") -> GridSpec:
     """Grid covering the support box of ``fn`` with a small margin.
 
     ``kind`` selects the resolution table: "lp" for quadrature and sup scans,
     "pair" for the quadratic-cost Holder scans.
     """
     table = DEFAULT_PAIR_POINTS if kind == "pair" else DEFAULT_LP_POINTS
-    lo, hi = fn.bounding_box(margin)
+    lo, hi = fn.bounding_box(_GRID_MARGIN)
     return GridSpec(tuple(lo), tuple(hi), table[fn.ndim])
 
 
@@ -155,13 +169,12 @@ def lp_norm(
     p: float | Fraction,
     order: int = 0,
     grid: GridSpec | None = None,
-    coarse_tol: float = 0.10,
 ) -> NormValue:
     """L^p norm of the order-th derivative (pointwise max over components).
 
     Composite Simpson on the given grid and on its refinement; the pair is
     Richardson-extrapolated and their discrepancy becomes the error estimate.
-    A relative discrepancy above ``coarse_tol`` raises GridTooCoarse.
+    A relative discrepancy above ``_COARSE_TOL`` raises GridTooCoarse.
     """
     p = float(p)
     if p < 1.0:
@@ -179,9 +192,9 @@ def lp_norm(
         return NormValue(0.0, 0.0, "simpson+richardson")
     denom = max(abs(i_f), abs(ic))
     rel = abs(i_f - ic) / denom
-    if rel > coarse_tol:
+    if rel > _COARSE_TOL:
         raise GridTooCoarse(
-            f"Simpson passes disagree by {rel:.1%} (> {coarse_tol:.0%}); refine the grid"
+            f"Simpson passes disagree by {rel:.1%} (> {_COARSE_TOL:.0%}); refine the grid"
         )
     # Simpson error is O(h^4): the halved grid removes ~15/16 of it.
     correction = (i_f - ic) / 15.0
@@ -211,8 +224,7 @@ def lp_norm_midpoint_oracle(
     lo = np.asarray(grid.lo)
     h = (np.asarray(grid.hi) - lo) / m
     axes = [lo[i] + (np.arange(m) + 0.5) * h[i] for i in range(grid.ndim)]
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    field = _max_component_field(fn, mesh, order) ** p
+    field = _max_component_field(fn, _mesh(axes), order) ** p
     integral = float(np.sum(field.reshape((m,) * grid.ndim))) * float(np.prod(h))
     if integral <= 0.0:
         return NormValue(0.0, 0.0, "midpoint")
@@ -220,8 +232,7 @@ def lp_norm_midpoint_oracle(
     # Midpoint is O(h^2); estimate via a half-resolution pass.
     m2 = m // 2
     axes2 = [lo[i] + (np.arange(m2) + 0.5) * (h[i] * m / m2) for i in range(grid.ndim)]
-    mesh2 = np.stack([g.ravel() for g in np.meshgrid(*axes2, indexing="ij")], axis=-1)
-    coarse = float(np.sum(_max_component_field(fn, mesh2, order) ** p)) * float(
+    coarse = float(np.sum(_max_component_field(fn, _mesh(axes2), order) ** p)) * float(
         np.prod(h * m / m2)
     )
     # Halving an O(h^2) rule leaves |I - I_coarse| ~ 3x the fine error for
@@ -235,12 +246,11 @@ def sup_norm(
     fn: TestFunction,
     order: int = 0,
     grid: GridSpec | None = None,
-    refinements: int = 2,
 ) -> NormValue:
     """Sup over space of the pointwise max over order-th derivative components.
 
-    Grid maximum, then local 9-points-per-axis sweeps around the argmax with
-    the spacing shrunk 4x per round. The error estimate is the last observed
+    Grid maximum, then ``_SUP_REFINEMENTS`` local 9-points-per-axis sweeps
+    around the argmax with the spacing shrunk 4x per round. The error estimate is the last observed
     improvement (floored at machine precision of the value).
     """
     if grid is None:
@@ -252,9 +262,8 @@ def sup_norm(
     center = pts[best_i]
     h = grid.spacing()
     improvement = 0.0
-    for _ in range(refinements):
-        axes = [np.linspace(center[i] - h[i], center[i] + h[i], 9) for i in range(fn.ndim)]
-        local = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    for _ in range(_SUP_REFINEMENTS):
+        local = _mesh([np.linspace(center[i] - h[i], center[i] + h[i], 9) for i in range(fn.ndim)])
         lf = _max_component_field(fn, local, order)
         li = int(np.argmax(lf))
         if float(lf[li]) > best:
@@ -474,11 +483,9 @@ def _exact_order_components(fn: TestFunction, pts: np.ndarray, order: int) -> Di
 
 def _refine_cloud(pair: tuple[np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
     """5 points per axis at spacing h/2 around each endpoint, stacked in order."""
-    cloud = []
-    for c in pair:
-        axes = [np.linspace(c[i] - h[i], c[i] + h[i], 5) for i in range(len(c))]
-        cloud.append(np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1))
-    return np.concatenate(cloud, axis=0)
+    return np.concatenate(
+        [_mesh([np.linspace(c[i] - h[i], c[i] + h[i], 5) for i in range(len(c))]) for c in pair], axis=0
+    )
 
 
 def holder_seminorm(

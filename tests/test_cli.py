@@ -51,6 +51,15 @@ class TestParams:
         assert code == 2
         assert "at least two" in err
 
+    def test_zero_dimension_rejected(self):
+        code, out, err = run(
+            ["params", "--n", "0", "--k", "2", "--l", "1",
+             "--p", "2", "--r", "-3", "--theta", "1/2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: dimension must be positive, got n=0\n"
+
     def test_decimal_exponent_rejected(self):
         code, _, err = run(
             ["params", "--n", "3", "--k", "2", "--l", "1",
@@ -147,6 +156,12 @@ class TestDerive:
         chain = parse_certificate(cert.read_text())
         assert len(chain.steps) == 4
 
+    def test_zero_dimension_rejected(self):
+        code, out, err = run(["derive", "--instance", "n=0,k=2,l=1,p=2,r=-1,theta=3/4"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: dimension must be positive, got n=0\n"
+
     def test_borderline_instance_exits_one(self):
         code, out, err = run(
             ["derive", "--instance", "n=1,k=2,l=1,p=1,r=-1,theta=3/4"]
@@ -215,6 +230,18 @@ class TestConfig:
         assert code == 0
         assert "seed=11" in out.splitlines()[0]
 
+    def test_oracle_reads_config_points(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = 33\n")
+        monkeypatch.setenv(ENV_CONFIG, str(cfg))
+        code, out, _ = run(
+            ["oracle", "--lp", "--fn", "bump(R=1.0)", "--n", "1", "--p", "2"]
+        )
+        assert code == 0
+        assert out.splitlines()[0] == f"# gninterp 0.1.0 seed=0 config={cfg}"
+        (row,) = csv_rows(out)
+        assert row["points"] == "33"
+
     def test_unknown_key_rejected(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         monkeypatch.setenv(ENV_CONFIG, str(cfg))
@@ -240,6 +267,8 @@ class TestConfig:
     [
         (["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--threads", "2"], "--threads"),
         (["sweep", "--instance", "n=1,k=2,l=1,p=2,r=-2,theta=3/4", "--seminorm"], "--seminorm"),
+        (["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--tolerance-ratio", "5"],
+         "--tolerance-ratio 5"),
     ],
 )
 def test_removed_flags_rejected(argv, flag):

@@ -1,6 +1,7 @@
 """Proof chains: construction, exact re-verification, serialization, numerics."""
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -220,6 +221,23 @@ class TestExactVerification:
     def test_chain_constant_matches_property(self):
         chain = derive_chain(make_instance(1, 3, 2, F(-1, 2), F(-2), F(3, 4)))
         assert chain.final_constant == chain_constant(chain.steps)
+
+    @pytest.mark.parametrize(
+        "args,want",
+        [
+            # Pure Holder descent: one identity step.
+            ((1, 2, 1, F(-1, 2), F(-2), F(1)), 1.0),
+            # First-order route through a one-step C^k triple (factor 2).
+            ((1, 2, 1, F(-2), F(-2), F(1, 2)), 2.0),
+            # First-order route through a boundary-step triple: the
+            # holder_step bound (1 + 1/p2_left)^(1-eta) = sqrt(2.2).
+            ((1, 2, 1, F(-5, 6), F(-7, 6), F(1, 2)), math.sqrt(2.2)),
+        ],
+        ids=["holder_identity", "ck_step", "holder_step"],
+    )
+    def test_explicit_chain_constant(self, args, want):
+        chain = derive_chain(make_instance(*args))
+        assert chain_constant(chain.steps) == want
 
 
 class TestCertificates:

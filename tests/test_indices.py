@@ -236,6 +236,19 @@ class TestValidation:
         report = validate_instance(bad)
         assert any(v.kind == "theta" for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            InequalityInstance(0, 2, 1, F(1, 2), F(1, 12), F(-1, 3), F(1, 2)),
+            InequalityInstance(1, 0, 1, F(1, 2), F(1, 12), F(-1, 3), F(1, 2)),
+        ],
+        ids=["n=0", "k=0"],
+    )
+    def test_zero_dimension_or_order_is_a_range_violation(self, inst):
+        report = validate_instance(inst)
+        assert not report.ok
+        assert report.violations[0].kind == "range"
+
 
 class TestSolveMissing:
     def test_solve_sq(self):
