@@ -52,7 +52,8 @@ from .testfn import parse_testfn
 
 ENV_CONFIG = "GNINTERP_CONFIG"
 
-_CONFIG_KEYS = {"points", "pair_points", "tolerance_ratio", "seed", "out"}
+# Config keys and the parser of each value.
+_CONFIG_KEYS = {"points": int, "pair_points": int, "tolerance_ratio": float, "seed": int, "out": str}
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,11 @@ class RunConfig:
     seed: int = 0
     out: Optional[str] = None
     source: str = "-"
+
+    def __post_init__(self) -> None:
+        # The flag and the config key both arrive through here.
+        if not self.tolerance_ratio > 0:
+            raise ValueError(f"tolerance_ratio must be positive, got {self.tolerance_ratio}")
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -78,21 +84,16 @@ def load_config(path: Optional[str]) -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep or key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config entry {raw.strip()!r}")
-        if key in ("points", "pair_points", "seed"):
-            cfg = replace(cfg, **{key: int(value)})
-        elif key == "tolerance_ratio":
-            tol = float(value)
-            if tol <= 0:
-                raise ValueError(f"{path}:{lineno}: tolerance_ratio must be positive")
-            cfg = replace(cfg, tolerance_ratio=tol)
-        else:
-            cfg = replace(cfg, out=value)
+        try:
+            cfg = replace(cfg, **{key: _CONFIG_KEYS[key](value)})
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return cfg
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(os.environ.get(ENV_CONFIG))
-    for key in ("points", "pair_points", "tolerance_ratio", "seed", "out"):
+    for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg = replace(cfg, **{key: value})
@@ -383,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="e.g. \"n=1,k=2,l=1,p=2,r=-1,theta=3/4\"")
     p.add_argument("--fn", default="bump(R=1)")
     p.add_argument("--lambdas", type=_float_list, default=[0.5, 1.0, 2.0])
-    p.add_argument("--tolerance-ratio", dest="tolerance_ratio", type=float, help="allowed ratio spread")
+    p.add_argument(
+        "--tolerance-ratio", dest="tolerance_ratio", type=float, help="allowed ratio spread (positive)"
+    )
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 

@@ -4,8 +4,10 @@ A chain reduces one instance to two endpoint legs: a sharp-embedding descent
 carrying full weight, and a convexity leg built by induction on derivative
 orders from the second-order base inequality.  A final interpolation step
 joins the legs.  Every step records exact rational slot algebra (which norms
-enter, with which exponents) that is re-verified independently of how the
-chain was produced, and any chain can be measured numerically on a sample
+enter, with which exponents).  :func:`verify_chain` is the one consistency
+check on an assembled chain: it re-verifies that algebra independently of
+how the chain was produced, and whether the chain resolves to the
+instance's slots.  Any chain can be measured numerically on a sample
 function, slot by slot.
 """
 
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BadCertificate,
@@ -259,22 +261,26 @@ def sobolev_chain(n: int, k: int, l: int, sp: Fraction | int | str) -> ProofChai
         raise InvalidInstance(f"dimension must be positive, got n={n}")
     if not 0 <= l < k:
         raise InvalidInstance(f"orders must satisfy 0 <= l < k, got l={l}, k={k}")
-    SpaceIndex(sp, n)  # range check: rejects sp > 1
-    steps = []
-    s = sp
-    for order in range(k, l, -1):
-        step = _descent_step(n, order, s)
-        steps.append(step)
-        s = step.output.scale
+    steps = _descent_steps(n, k, l, sp)
+    s = steps[-1].output.scale
     inst = InequalityInstance(n=n, k=k, l=l, sp=sp, sq=s, sr=s, theta=Fraction(1))
-    chain = ProofChain(instance=inst, steps=tuple(steps))
+    chain = ProofChain(instance=inst, steps=steps)
     verify_chain(chain)
     return chain
 
 
+# Descents and convexity legs are pure in their arguments and recur across
+# theta values when instances are enumerated; steps are frozen, so sharing
+# the cached tuples is safe.
 @lru_cache(maxsize=None)
-def _sobolev_chain_cached(n: int, k: int, l: int, sp: Fraction) -> ProofChain:
-    return sobolev_chain(n, k, l, sp)
+def _descent_steps(n: int, k: int, l: int, sp: Fraction) -> tuple[Step, ...]:
+    """The descent's steps from order k to order l; each one range-checks its scale."""
+    steps: tuple[Step, ...] = ()
+    s = sp
+    for order in range(k, l, -1):
+        steps += (_descent_step(n, order, s),)
+        s = steps[-1].output.scale
+    return steps
 
 
 # --- second-order base --------------------------------------------------------
@@ -313,13 +319,7 @@ def base_lemma_steps(
         else:
             children = [down, up, _interp_step(n, 1, s_lo, sq, s_hi)]
             note = f"first-order route ({children[-1].note})"
-        cs = [st.constant for st in children]
-        const = None
-        if all(c is not None for c in cs):
-            const = math.sqrt(cs[0] * cs[1]) * (cs[2] if len(cs) == 3 else 1.0)
-        return tuple(children + [Step(RULE_BASE, parent_inputs, out, (h, h), const, note)])
-
-    if sq < 0 and sp != inv and sp != 2 * inv:
+    elif sq < 0 and sp != inv and sp != 2 * inv:
         # Route through undifferentiated norms: drop both derivatives on the
         # p side, interpolate at order zero, shift the result back up.
         d1 = _descent_step(n, 2, sp)
@@ -334,34 +334,37 @@ def base_lemma_steps(
             s_lo, s_hi = sorted((s_pp, sr))
             children = [d1, d2, _interp_step(n, 0, s_lo, s_mid, s_hi), up]
             note = f"zero-order route ({children[-2].note})"
-        cs = [st.constant for st in children]
-        const = None
-        if all(c is not None for c in cs):
-            const = math.sqrt(cs[0] * cs[1]) * math.prod(cs[2:])
-        return tuple(children + [Step(RULE_BASE, parent_inputs, out, (h, h), const, note)])
-
-    if sp == sr:
-        note = "direct (equal scales)"
     else:
-        lo, hi = sorted((sp, sr))
-        note = f"direct ({classify_triple(InterpolationTriple(n, lo, sq, hi)).case.value})"
-    return (Step(RULE_BASE, parent_inputs, out, (h, h), None, note),)
+        children = []
+        if sp == sr:
+            note = "direct (equal scales)"
+        else:
+            lo, hi = sorted((sp, sr))
+            note = f"direct ({classify_triple(InterpolationTriple(n, lo, sq, hi)).case.value})"
+
+    # The first two children enter at weight 1/2 each, the rest at full
+    # weight; a direct base has no children and no explicit constant.
+    cs = [st.constant for st in children]
+    const = None
+    if cs and None not in cs:
+        const = math.sqrt(cs[0] * cs[1]) * math.prod(cs[2:])
+    return (*children, Step(RULE_BASE, parent_inputs, out, (h, h), const, note))
 
 
 # --- induction on derivative orders ------------------------------------------
 
 
-def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[list[Step], Fraction]:
+def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tuple[Step, ...], Fraction]:
     """First-derivative claim N(1, sq) <= N(k, sp)^{1/k} N(0, sr)^{(k-1)/k}."""
     if k == 2:
-        return list(base_lemma_steps(n, sp, sr)), (sp + sr) / 2
+        return base_lemma_steps(n, sp, sr), (sp + sr) / 2
     sq = (sp + (k - 1) * sr) / Fraction(k)
     ss = 2 * sq - sr
-    base = list(base_lemma_steps(n, ss, sr))
+    base = base_lemma_steps(n, ss, sr)
     sub, sub_out = _one_k_steps(n, k - 1, sp, sq)
     if sub_out != ss:
         raise BrokenChain(f"recurrence mismatch at k={k}: {sub_out} != {ss}")
-    shifted = [st.shifted(1) for st in sub]
+    shifted = tuple(st.shifted(1) for st in sub)
     ca, cb = base[-1].constant, sub[-1].constant
     const = None if ca is None or cb is None else (ca * ca * cb) ** ((k - 1) / k)
     parent = Step(
@@ -372,10 +375,10 @@ def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[list[Step]
         const,
         note=f"first-order factor absorbed at weight {Fraction(k - 2, k - 1)}",
     )
-    return base + shifted + [parent], sq
+    return base + shifted + (parent,), sq
 
 
-def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[list[Step], Fraction]:
+def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tuple[Step, ...], Fraction]:
     """Diagonal claim N(l, sq) <= N(k, sp)^{l/k} N(0, sr)^{(k-l)/k} for l >= 2."""
     sq = (l * sp + (k - l) * sr) / Fraction(k)
     st = (sq + (l - 1) * sr) / Fraction(l)
@@ -398,25 +401,15 @@ def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[lis
         const,
         note=f"gradient claim at orders ({l - 1}, {k - 1}) and first-order return leg",
     )
-    return [st_.shifted(1) for st_ in sub_a] + sub_b + [parent], sq
+    return tuple(st_.shifted(1) for st_ in sub_a) + sub_b + (parent,), sq
 
 
-# Legs are pure in their arguments and recur across theta values when
-# instances are enumerated; steps are frozen, so sharing the tuples is safe.
 @lru_cache(maxsize=None)
-def _build_steps_cached(
-    n: int, l: int, k: int, sp: Fraction, sr: Fraction
-) -> tuple[tuple[Step, ...], Fraction]:
+def _build_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tuple[Step, ...], Fraction]:
+    """Convexity leg N(l, sq) <= N(k, sp)^{l/k} N(0, sr)^{(k-l)/k}, and its sq."""
     if l == 1:
-        steps, out = _one_k_steps(n, k, sp, sr)
-    else:
-        steps, out = _diag_steps(n, l, k, sp, sr)
-    return tuple(steps), out
-
-
-def _build_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[list[Step], Fraction]:
-    steps, out = _build_steps_cached(n, l, k, sp, sr)
-    return list(steps), out
+        return _one_k_steps(n, k, sp, sr)
+    return _diag_steps(n, l, k, sp, sr)
 
 
 # --- full derivation ----------------------------------------------------------
@@ -425,68 +418,47 @@ def _build_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[li
 def derive_chain(inst: InequalityInstance) -> ProofChain:
     """Derive a complete chain for one instance.
 
-    Weight 1 is the pure embedding leg; weight l/k is the pure convexity
-    leg; anything strictly between takes both legs and joins them with a
-    final interpolation.  Instances with a structural violation (see
-    :func:`structural_violations`) raise InvalidInstance; instances whose
-    embedding descent passes through the borderline scale 1/n raise
-    InternalBorderline carrying whatever steps were built, unless the weight
-    is exactly l/k and that leg never runs.
+    The convexity leg runs unless the weight is 1, the embedding leg unless
+    it is l/k; when both run and end at different scales, a final
+    interpolation joins them.  The assembled chain then goes through
+    :func:`verify_chain`, the one consistency check on it.  Instances with a
+    structural violation (see :func:`structural_violations`) raise
+    InvalidInstance; instances whose embedding descent passes through the
+    borderline scale 1/n raise InternalBorderline carrying the convexity
+    steps built so far.
     """
     problems = structural_violations(inst)
     if problems:
         raise InvalidInstance("; ".join(v.message for v in problems))
-    lk = Fraction(inst.l, inst.k)
+    n, k, l = inst.n, inst.k, inst.l
+    lk = Fraction(l, k)
 
-    if inst.theta == 1:
+    steps: tuple[Step, ...] = ()
+    if inst.theta != 1:
+        steps, sq2 = _build_steps(n, l, k, inst.sp, inst.sr)
+    if inst.theta != lk:
         try:
-            leg = _sobolev_chain_cached(inst.n, inst.k, inst.l, inst.sp)
+            descent = _descent_steps(n, k, l, inst.sp)
         except BorderlineIndex as exc:
-            raise InternalBorderline(str(exc)) from exc
-        if leg.steps[-1].output.scale != inst.sq:
-            raise BrokenChain(f"embedding leg ends at {leg.steps[-1].output.scale}, target {inst.sq}")
-        chain = ProofChain(instance=inst, steps=leg.steps)
-        verify_chain(chain)
-        return chain
+            raise InternalBorderline(str(exc), partial_steps=steps) from exc
+        sq1 = descent[-1].output.scale
+        steps = descent + steps
+        if inst.theta != 1 and sq1 != sq2:
+            eta = (inst.theta - lk) / (1 - lk)
+            lo, hi = sorted((sq1, sq2))
+            cls = classify_triple(InterpolationTriple(n, lo, inst.sq, hi))
+            steps += (
+                Step(
+                    RULE_ENDPOINT,
+                    (Slot(l, sq1), Slot(l, sq2)),
+                    Slot(l, inst.sq),
+                    (eta, 1 - eta),
+                    cls.bound,
+                    note=f"between embedding and convexity targets ({cls.case.value})",
+                ),
+            )
 
-    induct, sq2 = _build_steps(inst.n, inst.l, inst.k, inst.sp, inst.sr)
-    if inst.theta == lk:
-        if sq2 != inst.sq:
-            raise BrokenChain(f"convexity leg ends at {sq2}, target {inst.sq}")
-        chain = ProofChain(instance=inst, steps=tuple(induct))
-        verify_chain(chain)
-        return chain
-
-    try:
-        leg1 = _sobolev_chain_cached(inst.n, inst.k, inst.l, inst.sp)
-    except BorderlineIndex as exc:
-        raise InternalBorderline(str(exc), partial_steps=tuple(induct)) from exc
-    sq1 = leg1.steps[-1].output.scale
-
-    if sq1 == sq2:
-        # Degenerate balance sp - k/n = sr: both legs already end at sq.
-        if sq2 != inst.sq:
-            raise BrokenChain(f"degenerate legs end at {sq2}, target {inst.sq}")
-        chain = ProofChain(instance=inst, steps=tuple(leg1.steps) + tuple(induct))
-        verify_chain(chain)
-        return chain
-
-    eta = (inst.theta - lk) / (1 - lk)
-    if eta * sq1 + (1 - eta) * sq2 != inst.sq:
-        raise BrokenChain(
-            f"endpoint mismatch: {eta}*{sq1} + {1 - eta}*{sq2} != {inst.sq}"
-        )
-    lo, hi = sorted((sq1, sq2))
-    cls = classify_triple(InterpolationTriple(inst.n, lo, inst.sq, hi))
-    final = Step(
-        RULE_ENDPOINT,
-        (Slot(inst.l, sq1), Slot(inst.l, sq2)),
-        Slot(inst.l, inst.sq),
-        (eta, 1 - eta),
-        cls.bound,
-        note=f"between embedding and convexity targets ({cls.case.value})",
-    )
-    chain = ProofChain(instance=inst, steps=tuple(leg1.steps) + tuple(induct) + (final,))
+    chain = ProofChain(instance=inst, steps=steps)
     verify_chain(chain)
     return chain
 
@@ -511,7 +483,6 @@ class ChainEvaluation:
     """A chain measured slot by slot on one sample function."""
 
     chain: ProofChain
-    mode: str
     norms: tuple[tuple[Slot, NormValue], ...]
     steps: tuple[StepMeasurement, ...]
     end_ratio: float
@@ -525,20 +496,27 @@ class ChainEvaluation:
         return not self.violations
 
 
+def _end_ratio(inst: InequalityInstance, norm: Callable[[Slot], float], sq: Fraction) -> float:
+    """N(l, sq) / (N(k, sp)^theta * N(0, sr)^(1 - theta)); N(0, sr) is not measured at theta = 1."""
+    lhs = norm(Slot(inst.l, sq))
+    rhs = norm(Slot(inst.k, inst.sp)) ** float(inst.theta)
+    if inst.theta != 1:
+        rhs *= norm(Slot(0, inst.sr)) ** float(1 - inst.theta)
+    return lhs / rhs if rhs > 0 else math.inf
+
+
 def evaluate_chain(
     chain: ProofChain,
     fn: TestFunction,
-    mode: str = "seminorm",
     lp_grid: GridSpec | None = None,
     pair_grid: GridSpec | None = None,
 ) -> ChainEvaluation:
-    """Measure every step of a chain on one sample function.
+    """Measure every step of a chain on one sample function, in seminorms.
 
     A step with an explicit constant is flagged as a violation when its
     measured ratio exceeds the constant beyond the combined error estimates
-    of the norms involved plus ``VERDICT_SLACK``; this is only asserted in
-    seminorm mode, where explicit constants are exact claims.  Empirical
-    steps are measured but never flagged.
+    of the norms involved plus ``VERDICT_SLACK``.  Empirical steps are
+    measured but never flagged.
     """
     inst = chain.instance
     slots = {st.output for st in chain.steps} | {sl for st in chain.steps for sl in st.inputs}
@@ -548,7 +526,7 @@ def evaluate_chain(
     ordered = sorted(slots, key=lambda sl: (sl.order, sl.scale))
 
     norms = {
-        sl: xnorm(fn, sl.scale, order=sl.order, mode=mode, lp_grid=lp_grid, pair_grid=pair_grid)
+        sl: xnorm(fn, sl.scale, order=sl.order, mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
         for sl in ordered
     }
 
@@ -568,25 +546,14 @@ def evaluate_chain(
             ratio = lhs.value / rhs
         else:
             ratio = math.inf if lhs.value > 0 else 1.0
-        flag = (
-            mode == "seminorm"
-            and step.constant is not None
-            and ratio > step.constant * (1 + rel_total + VERDICT_SLACK)
-        )
+        flag = step.constant is not None and ratio > step.constant * (1 + rel_total + VERDICT_SLACK)
         measured.append(StepMeasurement(step, lhs, rhs, ratio, rel_total, flag))
-
-    end_lhs = norms[Slot(inst.l, inst.sq)].value
-    end_rhs = norms[Slot(inst.k, inst.sp)].value ** float(inst.theta)
-    if inst.theta != 1:
-        end_rhs *= norms[Slot(0, inst.sr)].value ** float(1 - inst.theta)
-    end_ratio = end_lhs / end_rhs if end_rhs > 0 else math.inf
 
     return ChainEvaluation(
         chain=chain,
-        mode=mode,
         norms=tuple((sl, norms[sl]) for sl in ordered),
         steps=tuple(measured),
-        end_ratio=end_ratio,
+        end_ratio=_end_ratio(inst, lambda sl: norms[sl].value, inst.sq),
     )
 
 
@@ -606,14 +573,12 @@ def dilation_sweep(
     exponent relation the ratio tolerates.
     """
     sq = inst.sq + as_rational(sq_shift)
+    kw = dict(mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
     out = []
     for lam in lambdas:
         v = fn.dilate(lam)
-        num = xnorm(v, sq, order=inst.l, mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
-        dk = xnorm(v, inst.sp, order=inst.k, mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
-        d0 = xnorm(v, inst.sr, order=0, mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
-        denom = dk.value ** float(inst.theta) * d0.value ** float(1 - inst.theta)
-        out.append((float(lam), num.value / denom if denom > 0 else math.inf))
+        ratio = _end_ratio(inst, lambda sl: xnorm(v, sl.scale, order=sl.order, **kw).value, sq)
+        out.append((float(lam), ratio))
     return out
 
 

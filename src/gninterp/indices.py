@@ -141,10 +141,20 @@ def sobolev_flat(idx: SpaceIndex) -> SpaceIndex:
     return SpaceIndex(s=out, n=idx.n)
 
 
+def _require_dimension(n: int) -> None:
+    """The balance divides by n: reject n < 1 before it does."""
+    if n < 1:
+        raise InvalidInstance(f"dimension must be positive, got n={n}")
+
+
 def solve_theta(
     n: int, k: int, l: int, sp: Fraction, sq: Fraction, sr: Fraction
 ) -> Fraction:
-    """Weight theta from the balance sq - l/n = theta*(sp - k/n) + (1-theta)*sr."""
+    """Weight theta from the balance sq - l/n = theta*(sp - k/n) + (1-theta)*sr.
+
+    Raises InvalidInstance for n < 1, where the balance is undefined.
+    """
+    _require_dimension(n)
     num = sq - Fraction(l, n) - sr
     den = sp - Fraction(k, n) - sr
     if den == 0:
@@ -161,7 +171,14 @@ def solve_theta(
 def solve_q(
     n: int, k: int, l: int, sp: Fraction, sr: Fraction, theta: Fraction
 ) -> Fraction:
-    """Target index sq from the balance, for theta in [l/k, 1]."""
+    """Target index sq from the balance, for theta in [l/k, 1].
+
+    Raises InvalidInstance for n < 1 or k < 1, where the balance or the
+    window is undefined.
+    """
+    _require_dimension(n)
+    if k < 1:
+        raise InvalidInstance(f"derivative order must satisfy k >= 1, got k={k}")
     if not (Fraction(l, k) <= theta <= 1):
         raise ThetaOutOfRange(f"theta={theta} outside [{Fraction(l, k)}, 1]")
     return Fraction(l, n) + theta * (sp - Fraction(k, n)) + (1 - theta) * sr
@@ -287,8 +304,7 @@ def solve_missing(
     cannot determine the unknowns, and InvalidInstance for n < 1, where
     the balance is undefined.
     """
-    if n < 1:
-        raise InvalidInstance(f"dimension must be positive, got n={n}")
+    _require_dimension(n)
     known = {"sp": sp, "sq": sq, "sr": sr, "theta": theta}
     missing = [name for name, v in known.items() if v is None]
     if not missing:

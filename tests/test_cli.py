@@ -133,6 +133,25 @@ class TestSweep:
         ratios = [float(r["ratio"]) for r in rows]
         assert max(ratios) / min(ratios) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_non_positive_tolerance_rejected(self, tol):
+        code, out, err = run(
+            ["sweep", "--instance", "n=1,k=2,l=1,p=2,r=-2,theta=3/4",
+             "--fn", "bump(R=1.0)", "--lambdas", "0.5,1,2", "--tolerance-ratio", tol]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tolerance_ratio must be positive, got {float(tol)}\n"
+
+    def test_non_positive_config_tolerance_rejected(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\ntolerance_ratio = -1\n")
+        monkeypatch.setenv(ENV_CONFIG, str(cfg))
+        code, out, err = run(["sweep", "--instance", "n=1,k=2,l=1,p=2,r=-2,theta=3/4"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}:2: tolerance_ratio must be positive, got -1.0\n"
+
 
 class TestDerive:
     def test_output_is_reproducible(self):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from gninterp import derivation
 from gninterp.derivation import (
     RULE_BASE,
     RULE_INDUCT_DIAG,
@@ -40,6 +41,7 @@ from gninterp.errors import (
     InvalidInstance,
 )
 from gninterp.indices import InequalityInstance, solve_q
+from gninterp.norms import xnorm
 from gninterp.testfn import bump, bump_poly, plateau
 
 from conftest import make_instance
@@ -81,8 +83,69 @@ class TestSobolevChain:
         assert [s.rule for s in chain.steps] == [RULE_SOBOLEV, RULE_IDENTITY]
         verify_chain(chain)
 
+    def test_descent_to_order_zero(self):
+        # Order l = 0 is outside derive_chain's range (1 <= l < k).
+        chain = sobolev_chain(1, 3, 0, F(-1, 2))
+        assert chain.instance == InequalityInstance(1, 3, 0, F(-1, 2), F(-7, 2), F(-7, 2), F(1))
+        assert [(s.inputs[0], s.output) for s in chain.steps] == [
+            (Slot(3, F(-1, 2)), Slot(2, F(-3, 2))),
+            (Slot(2, F(-3, 2)), Slot(1, F(-5, 2))),
+            (Slot(1, F(-5, 2)), Slot(0, F(-7, 2))),
+        ]
+        assert {s.rule for s in chain.steps} == {RULE_IDENTITY}
+        assert chain.final_constant == 1.0
+
+    @pytest.mark.parametrize("n,k,l,sp", [(1, 2, 1, F(1)), (2, 3, 0, F(1, 2)), (2, 3, 0, F(1)),
+                                          (3, 4, 1, F(1, 3)), (3, 4, 1, F(2, 3)), (3, 4, 1, F(1))])
+    def test_excluded_set_is_borderline(self, n, k, l, sp):
+        # n*sp in {1, ..., k-l}: some descent scale lands on 1/n.
+        with pytest.raises(BorderlineIndex):
+            sobolev_chain(n, k, l, sp)
+
+    def test_just_outside_excluded_set_descends(self):
+        # n*sp = 3 > k - l = 2 never reaches 1/n.
+        chain = sobolev_chain(3, 3, 1, F(1))
+        assert chain.steps[-1].output == Slot(1, F(1, 3))
+
+    @pytest.mark.parametrize("n,k,l", [(0, 2, 1), (1, 2, 2), (1, 2, 3), (1, 2, -1)])
+    def test_invalid_orders_or_dimension_rejected(self, n, k, l):
+        with pytest.raises(InvalidInstance):
+            sobolev_chain(n, k, l, F(1, 2))
+
 
 class TestBaseLemma:
+    @pytest.mark.parametrize(
+        "args,rules,note,constant",
+        [
+            # First-order route, every child explicit: sqrt(1 * 1) * 2.
+            ((1, F(-2), F(-2)), [RULE_IDENTITY, RULE_IDENTITY, RULE_INTERP, RULE_BASE],
+             "first-order route (ck_step)", 2.0),
+            # First-order route with coincident targets: no interpolation child.
+            ((1, F(-1), F(-3)), [RULE_IDENTITY, RULE_IDENTITY, RULE_BASE],
+             "first-order route, coincident targets", 1.0),
+            # First-order route with an empirical embedding child.
+            ((3, F(1, 2), F(-1, 3)), [RULE_SOBOLEV, RULE_IDENTITY, RULE_INTERP, RULE_BASE],
+             "first-order route (lebesgue)", None),
+            # Zero-order route: the order-0 interpolation child is empirical.
+            ((1, F(-1, 2), F(-1, 2)),
+             [RULE_IDENTITY, RULE_IDENTITY, RULE_INTERP, RULE_IDENTITY, RULE_BASE],
+             "zero-order route (composite)", None),
+            # Direct: a single generous leaf.
+            ((2, F(1, 2), F(-1, 2)), [RULE_BASE], "direct (mixed)", None),
+        ],
+        ids=["first_order", "first_order_coincident", "first_order_empirical", "zero_order", "direct"],
+    )
+    def test_route_shape_and_constant(self, args, rules, note, constant):
+        n, sp, sr = args
+        steps = base_lemma_steps(n, sp, sr)
+        assert [s.rule for s in steps] == rules
+        parent = steps[-1]
+        assert parent.note == note
+        assert parent.constant == constant
+        assert parent.inputs == (Slot(2, sp), Slot(0, sr))
+        assert parent.output == Slot(1, (sp + sr) / 2)
+        assert chain_constant(steps) == constant
+
     def test_first_order_route(self):
         steps = base_lemma_steps(3, F(1, 2), F(-1, 3))
         assert [s.rule for s in steps] == [
@@ -170,7 +233,14 @@ class TestDeriveChainShapes:
         inst = make_instance(1, 2, 1, F(1), F(-1), F(3, 4))
         with pytest.raises(InternalBorderline) as exc:
             derive_chain(inst)
-        assert len(exc.value.partial_steps) >= 1
+        # The convexity leg, built before the descent fails, is carried whole.
+        convexity = derive_chain(make_instance(1, 2, 1, F(1), F(-1), F(1, 2)))
+        assert exc.value.partial_steps == convexity.steps
+
+    def test_excluded_index_at_theta_one_has_no_partial_steps(self):
+        with pytest.raises(InternalBorderline) as exc:
+            derive_chain(make_instance(1, 2, 1, F(1), F(-1), F(1)))
+        assert exc.value.partial_steps == ()
 
     def test_every_chain_reverifies(self):
         rosters = [
@@ -331,6 +401,20 @@ class TestDilation:
         end = evaluate_chain(chain, bump(1)).end_ratio
         points = dilation_sweep(inst, bump(1), [1.0])
         assert points[0][1] == pytest.approx(end, rel=1e-14)
+
+    def test_theta_one_skips_the_weightless_norm(self, monkeypatch):
+        # At theta = 1 the factor N(0, sr) has weight 0 and is not measured.
+        inst = make_instance(1, 2, 1, F(-1, 2), F(-2), F(1))
+        calls = []
+
+        def recording(fn, s, order=0, **kw):
+            calls.append((order, s))
+            return xnorm(fn, s, order=order, **kw)
+
+        monkeypatch.setattr(derivation, "xnorm", recording)
+        points = dilation_sweep(inst, bump(1), [0.5, 1.0])
+        assert calls == [(1, inst.sq), (2, inst.sp)] * 2
+        assert all(math.isfinite(r) and r > 0 for _, r in points)
 
     def test_broken_balance_has_analytic_slope(self):
         inst = make_instance(1, 2, 1, F(1, 2), F(-1, 2), F(3, 4))

@@ -11,6 +11,7 @@ from gninterp.errors import (
     GNInterpError,
     IndeterminateTheta,
     InexactIndex,
+    InvalidInstance,
     MalformedIndex,
     NonHolderIndex,
     ScaleOverflow,
@@ -177,6 +178,20 @@ class TestBalanceSolvers:
     def test_inconsistent_degenerate(self):
         with pytest.raises(DegenerateCondition):
             solve_theta(1, 2, 1, F(1, 2), F(0), F(-3, 2))
+
+    @pytest.mark.parametrize(
+        "solve,args,message",
+        [
+            (solve_q, (0, 2, 1, F(1, 2), F(-1), F(1, 2)), "dimension must be positive, got n=0"),
+            (solve_q, (1, 0, 1, F(1, 2), F(-1), F(1, 2)), "derivative order must satisfy k >= 1, got k=0"),
+            (solve_theta, (0, 2, 1, F(1, 2), F(1, 12), F(-1)), "dimension must be positive, got n=0"),
+        ],
+        ids=["solve_q_n0", "solve_q_k0", "solve_theta_n0"],
+    )
+    def test_zero_divisor_rejected(self, solve, args, message):
+        # Each of these divided by zero before it was checked.
+        with pytest.raises(InvalidInstance, match=message):
+            solve(*args)
 
     @given(
         n=dims,
