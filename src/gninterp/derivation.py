@@ -275,12 +275,10 @@ def sobolev_chain(n: int, k: int, l: int, sp: Fraction | int | str) -> ProofChai
 @lru_cache(maxsize=None)
 def _descent_steps(n: int, k: int, l: int, sp: Fraction) -> tuple[Step, ...]:
     """The descent's steps from order k to order l; each one range-checks its scale."""
-    steps: tuple[Step, ...] = ()
-    s = sp
-    for order in range(k, l, -1):
-        steps += (_descent_step(n, order, s),)
-        s = steps[-1].output.scale
-    return steps
+    steps = [_descent_step(n, k, sp)]
+    for order in range(k - 1, l, -1):
+        steps.append(_descent_step(n, order, steps[-1].output.scale))
+    return tuple(steps)
 
 
 # --- second-order base --------------------------------------------------------
@@ -326,14 +324,9 @@ def base_lemma_steps(
         d2 = _descent_step(n, 1, d1.output.scale)
         s_pp = d2.output.scale
         s_mid = sq - inv
-        up = _ascent_step(n, 0, s_mid)
-        if s_pp == sr:
-            children = [d1, d2, up]
-            note = "zero-order route, coincident targets"
-        else:
-            s_lo, s_hi = sorted((s_pp, sr))
-            children = [d1, d2, _interp_step(n, 0, s_lo, s_mid, s_hi), up]
-            note = f"zero-order route ({children[-2].note})"
+        s_lo, s_hi = sorted((s_pp, sr))  # sq < 0 rules out s_pp == sr
+        children = [d1, d2, _interp_step(n, 0, s_lo, s_mid, s_hi), _ascent_step(n, 0, s_mid)]
+        note = f"zero-order route ({children[-2].note})"
     else:
         children = []
         if sp == sr:
@@ -354,16 +347,17 @@ def base_lemma_steps(
 # --- induction on derivative orders ------------------------------------------
 
 
-def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tuple[Step, ...], Fraction]:
-    """First-derivative claim N(1, sq) <= N(k, sp)^{1/k} N(0, sr)^{(k-1)/k}."""
+def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Step, ...]:
+    """First-derivative claim N(1, sq) <= N(k, sp)^{1/k} N(0, sr)^{(k-1)/k};
+    the last step outputs (1, sq)."""
     if k == 2:
-        return base_lemma_steps(n, sp, sr), (sp + sr) / 2
+        return base_lemma_steps(n, sp, sr)
     sq = (sp + (k - 1) * sr) / Fraction(k)
     ss = 2 * sq - sr
     base = base_lemma_steps(n, ss, sr)
-    sub, sub_out = _one_k_steps(n, k - 1, sp, sq)
-    if sub_out != ss:
-        raise BrokenChain(f"recurrence mismatch at k={k}: {sub_out} != {ss}")
+    sub = _one_k_steps(n, k - 1, sp, sq)
+    if sub[-1].output.scale != ss:
+        raise BrokenChain(f"recurrence mismatch at k={k}: {sub[-1].output.scale} != {ss}")
     shifted = tuple(st.shifted(1) for st in sub)
     ca, cb = base[-1].constant, sub[-1].constant
     const = None if ca is None or cb is None else (ca * ca * cb) ** ((k - 1) / k)
@@ -375,19 +369,20 @@ def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tuple[Step
         const,
         note=f"first-order factor absorbed at weight {Fraction(k - 2, k - 1)}",
     )
-    return base + shifted + (parent,), sq
+    return base + shifted + (parent,)
 
 
-def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tuple[Step, ...], Fraction]:
-    """Diagonal claim N(l, sq) <= N(k, sp)^{l/k} N(0, sr)^{(k-l)/k} for l >= 2."""
+def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Step, ...]:
+    """Diagonal claim N(l, sq) <= N(k, sp)^{l/k} N(0, sr)^{(k-l)/k} for l >= 2;
+    the last step outputs (l, sq)."""
     sq = (l * sp + (k - l) * sr) / Fraction(k)
     st = (sq + (l - 1) * sr) / Fraction(l)
-    sub_a, out_a = _build_steps(n, l - 1, k - 1, sp, st)
-    if out_a != sq:
-        raise BrokenChain(f"gradient-claim mismatch at (l={l}, k={k}): {out_a} != {sq}")
-    sub_b, out_b = _build_steps(n, 1, l, sq, sr)
-    if out_b != st:
-        raise BrokenChain(f"return-leg mismatch at (l={l}, k={k}): {out_b} != {st}")
+    sub_a = _build_steps(n, l - 1, k - 1, sp, st)
+    if sub_a[-1].output.scale != sq:
+        raise BrokenChain(f"gradient-claim mismatch at (l={l}, k={k}): {sub_a[-1].output.scale} != {sq}")
+    sub_b = _build_steps(n, 1, l, sq, sr)
+    if sub_b[-1].output.scale != st:
+        raise BrokenChain(f"return-leg mismatch at (l={l}, k={k}): {sub_b[-1].output.scale} != {st}")
     ca, cb = sub_a[-1].constant, sub_b[-1].constant
     const = None
     if ca is not None and cb is not None:
@@ -401,12 +396,13 @@ def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tup
         const,
         note=f"gradient claim at orders ({l - 1}, {k - 1}) and first-order return leg",
     )
-    return tuple(st_.shifted(1) for st_ in sub_a) + sub_b + (parent,), sq
+    return tuple(st_.shifted(1) for st_ in sub_a) + sub_b + (parent,)
 
 
 @lru_cache(maxsize=None)
-def _build_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[tuple[Step, ...], Fraction]:
-    """Convexity leg N(l, sq) <= N(k, sp)^{l/k} N(0, sr)^{(k-l)/k}, and its sq."""
+def _build_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Step, ...]:
+    """Convexity leg N(l, sq) <= N(k, sp)^{l/k} N(0, sr)^{(k-l)/k}; the last
+    step outputs (l, sq)."""
     if l == 1:
         return _one_k_steps(n, k, sp, sr)
     return _diag_steps(n, l, k, sp, sr)
@@ -435,7 +431,8 @@ def derive_chain(inst: InequalityInstance) -> ProofChain:
 
     steps: tuple[Step, ...] = ()
     if inst.theta != 1:
-        steps, sq2 = _build_steps(n, l, k, inst.sp, inst.sr)
+        steps = _build_steps(n, l, k, inst.sp, inst.sr)
+        sq2 = steps[-1].output.scale
     if inst.theta != lk:
         try:
             descent = _descent_steps(n, k, l, inst.sp)

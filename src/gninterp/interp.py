@@ -186,12 +186,8 @@ def composite_nodes(t: InterpolationTriple) -> tuple[Fraction, ...]:
     """Cut points for a composite triple: endpoints, mid, every signature
     boundary strictly inside the span, and 0 when the span crosses it."""
     nodes = {t.left, t.mid, t.right}
-    j = 1
-    while Fraction(-j, t.n) > t.left:
-        b = Fraction(-j, t.n)
-        if b < t.right:
-            nodes.add(b)
-        j += 1
+    boundaries = (Fraction(-j, t.n) for j in range(1, math.ceil(-t.n * t.left)))
+    nodes.update(b for b in boundaries if b < t.right)
     if t.left < 0 < t.right:
         nodes.add(Fraction(0))
     return tuple(sorted(nodes))
@@ -200,8 +196,8 @@ def composite_nodes(t: InterpolationTriple) -> tuple[Fraction, ...]:
 def _classify_composite(t: InterpolationTriple) -> Classification:
     nodes = composite_nodes(t)
     pieces = []
-    for i in range(1, len(nodes) - 1):
-        sub = InterpolationTriple(t.n, nodes[i - 1], nodes[i], nodes[i + 1])
+    for scales in zip(nodes, nodes[1:], nodes[2:]):
+        sub = InterpolationTriple(t.n, *scales)
         c = classify_triple(sub)
         if c.case is InterpCase.COMPOSITE:
             raise AssertionError(f"composite piece failed to reduce: {sub}")
@@ -247,34 +243,16 @@ def reiteration_constants(c1: float, c2: float, eta1: Rational, eta2: Rational) 
 def _eliminate_to_triple(nodes: Sequence[Fraction], mid: Fraction) -> Fraction:
     """Chain the adjacent-triple facts down to (left, mid, right); return the
     final weight of the left endpoint. Elimination is exact in rationals."""
-    nodes = list(nodes)
-    etas = {
-        nodes[i]: (nodes[i + 1] - nodes[i]) / (nodes[i + 1] - nodes[i - 1])
-        for i in range(1, len(nodes) - 1)
-    }
-    # Left of mid: repeatedly merge the leftmost interior node into its right
-    # neighbour's fact.
-    while True:
-        interior = [s for s in nodes[1:-1] if s != mid]
-        left_side = [s for s in interior if s < mid]
-        if not left_side:
-            break
-        y = left_side[0]
-        i = nodes.index(y)
-        e1, e2 = etas.pop(y), etas[nodes[i + 1]]
-        etas[nodes[i + 1]] = reiteration_second(e1, e2)
-        nodes.pop(i)
-    # Right of mid: mirror image (weights flip to 1-eta).
-    while True:
-        interior = [s for s in nodes[1:-1] if s != mid]
-        if not interior:
-            break
-        y = interior[-1]
-        i = nodes.index(y)
-        e1, e2 = 1 - etas.pop(y), 1 - etas[nodes[i - 1]]
-        etas[nodes[i - 1]] = 1 - reiteration_second(e1, e2)
-        nodes.pop(i)
-    return etas[mid]
+    # etas[i] places nodes[i + 1] between its two neighbours.
+    etas = [(c - b) / (c - a) for a, b, c in zip(nodes, nodes[1:], nodes[2:])]
+    m = nodes.index(mid) - 1
+    # Left of mid, leftmost first: fold each fact into its right neighbour's.
+    for i in range(m):
+        etas[i + 1] = reiteration_second(etas[i], etas[i + 1])
+    # Right of mid, rightmost first: mirror image (weights flip to 1-eta).
+    for i in range(len(etas) - 1, m, -1):
+        etas[i - 1] = 1 - reiteration_second(1 - etas[i], 1 - etas[i - 1])
+    return etas[m]
 
 
 # -- the crossing case constant ----------------------------------------------

@@ -124,6 +124,8 @@ def default_grid(fn: TestFunction, kind: str = "lp") -> GridSpec:
     ``kind`` selects the resolution table: "lp" for quadrature and sup scans,
     "pair" for the quadratic-cost Holder scans.
     """
+    if kind not in ("lp", "pair"):
+        raise ValueError(f"grid kind must be 'lp' or 'pair', got {kind!r}")
     table = DEFAULT_PAIR_POINTS if kind == "pair" else DEFAULT_LP_POINTS
     lo, hi = fn.bounding_box(_GRID_MARGIN)
     return GridSpec(tuple(lo), tuple(hi), table[fn.ndim])
@@ -145,6 +147,13 @@ def _max_component_field(fn: TestFunction, pts: np.ndarray, order: int) -> np.nd
     """Pointwise max of |D^alpha u| over all alpha of the given total order."""
     comps = _exact_order_components(fn, pts, order).values()
     return functools.reduce(np.maximum, (np.abs(v) for v in comps))
+
+
+def _finite_exponent(p: float | Fraction) -> float:
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must satisfy 1 <= p < inf (use sup_norm for p = inf), got {p}")
+    return p
 
 
 def _simpson_weights(m: int, h: float) -> np.ndarray:
@@ -172,13 +181,12 @@ def lp_norm(
 ) -> NormValue:
     """L^p norm of the order-th derivative (pointwise max over components).
 
+    ``p`` must be finite with 1 <= p < inf; the L^inf norm is :func:`sup_norm`.
     Composite Simpson on the given grid and on its refinement; the pair is
     Richardson-extrapolated and their discrepancy becomes the error estimate.
     A relative discrepancy above ``_COARSE_TOL`` raises GridTooCoarse.
     """
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = _finite_exponent(p)
     if grid is None:
         grid = default_grid(fn, "lp")
     fine = grid.refined()
@@ -210,14 +218,12 @@ def lp_norm_midpoint_oracle(
     order: int = 0,
     grid: GridSpec | None = None,
 ) -> NormValue:
-    """Independent L^p check: midpoint rule on cell centers.
+    """Independent L^p check: midpoint rule on cell centers, for 1 <= p < inf.
 
     Shares no evaluation points with the Simpson grid, so agreement within
     the combined error estimates is meaningful evidence.
     """
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = _finite_exponent(p)
     if grid is None:
         grid = default_grid(fn, "lp")
     m = grid.points_per_axis - 1  # cells per axis
@@ -271,7 +277,7 @@ def sup_norm(
             best = float(lf[li])
             center = local[li]
         h = h / 4.0
-    err = max(improvement, np.finfo(float).eps * abs(best))
+    err = float(max(improvement, np.finfo(float).eps * abs(best)))
     return NormValue(best, err, "grid_sup")
 
 
@@ -534,7 +540,7 @@ def holder_seminorm(
     total = 0.0
     for key in keys:
         total += sups[key]
-    err = max(improvement, np.finfo(float).eps * abs(total))
+    err = float(max(improvement, np.finfo(float).eps * abs(total)))
     return NormValue(total, err, "pair_sup")
 
 
@@ -562,7 +568,7 @@ def brute_force_holder(
     total = 0.0
     for key in sorted(sups):
         total += sups[key]
-    return NormValue(total, np.finfo(float).eps * abs(total), "pair_sup_brute")
+    return NormValue(total, float(np.finfo(float).eps * abs(total)), "pair_sup_brute")
 
 
 # -- scale-indexed dispatch ---------------------------------------------------

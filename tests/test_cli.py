@@ -2,11 +2,15 @@
 
 import contextlib
 import io
+from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
 
 from gninterp.cli import ENV_CONFIG, load_config, main
 from gninterp.derivation import parse_certificate
+from gninterp.norms import default_grid, xnorm
+from gninterp.testfn import bump
 
 
 def run(argv):
@@ -46,6 +50,11 @@ class TestParams:
         assert "valid: no" in out
         assert "violation[exclusion]" in out
 
+    def test_unconstrained_index_takes_sq(self):
+        code, out, _ = run(["params", "--n", "1", "--k", "2", "--l", "1", "--p", "2", "--theta", "1"])
+        assert code == 0
+        assert "r=-2 s=-1/2 (p=-2, C^{0,1/2}) (unconstrained)" in out.splitlines()
+
     def test_underdetermined_rejected(self):
         code, _, err = run(["params", "--n", "3", "--k", "2", "--l", "1", "--p", "2"])
         assert code == 2
@@ -79,6 +88,26 @@ class TestNorm:
         (row,) = csv_rows(out)
         assert row["method"] == "grid_sup"
         assert float(row["value"]) == pytest.approx(0.36787944117144233, rel=1e-15)
+
+    def test_out_writes_the_stdout_text(self, tmp_path):
+        argv = ["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "0", "--order", "0"]
+        path = tmp_path / "norm.csv"
+        _, stdout_text, _ = run(argv)
+        code, out, err = run(argv + ["--out", str(path)])
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == stdout_text
+
+    def test_pair_points_sets_the_pair_grid(self):
+        code, out, _ = run(
+            ["norm", "--fn", "bump(R=1)", "--n", "1", "--s", "-1/2", "--pair-points", "65"]
+        )
+        assert code == 0
+        (row,) = csv_rows(out)
+        fn = bump(1, R=1.0)
+        grid = replace(default_grid(fn, "pair"), points_per_axis=65)
+        nv = xnorm(fn, F(-1, 2), pair_grid=grid)
+        assert float(row["value"]) == nv.value != xnorm(fn, F(-1, 2)).value
+        assert float(row["error_estimate"]) == nv.error_estimate
 
     def test_decimal_scale_rejected(self):
         code, _, err = run(

@@ -309,6 +309,22 @@ class TestExactVerification:
         chain = derive_chain(make_instance(*args))
         assert chain_constant(chain.steps) == want
 
+    @pytest.mark.parametrize(
+        "args,want",
+        [
+            # theta = l/k: the convexity leg alone, its INDUCT_DIAG parent
+            # combining the explicit constants of both sub-legs.
+            ((1, 3, 2, F(-2), F(-2), F(2, 3)), 4.0),
+            ((2, 3, 2, F(-2, 3), F(-5, 3), F(2, 3)), 2 ** (4 / 3)),
+        ],
+        ids=["line", "plane"],
+    )
+    def test_diagonal_explicit_constant(self, args, want):
+        chain = derive_chain(make_instance(*args))
+        assert chain.steps[-1].rule == RULE_INDUCT_DIAG
+        assert chain.steps[-1].constant == want
+        assert chain.final_constant == want
+
 
 class TestCertificates:
     def test_golden_bytes(self):

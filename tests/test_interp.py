@@ -16,6 +16,7 @@ import gninterp
 from gninterp.errors import GNInterpError, InexactIndex, IntegralDiverges, NotInterpolable
 from gninterp.interp import (
     InterpCase,
+    _eliminate_to_triple,
     InterpolationTriple,
     check_interpolation,
     ck_interpolation_check,
@@ -120,6 +121,15 @@ class TestClassification:
     def test_composite_nodes_insert_boundaries(self):
         t = InterpolationTriple(1, F(-5, 2), F(-3, 2), F(-1, 4))
         assert composite_nodes(t) == (F(-5, 2), F(-2), F(-3, 2), F(-1), F(-1, 4))
+
+    def test_elimination_with_nodes_on_both_sides_lands_on_eta(self):
+        t = InterpolationTriple(3, F(-7, 4), F(-7, 6), F(1, 2))
+        nodes = composite_nodes(t)
+        assert nodes == (
+            F(-7, 4), F(-5, 3), F(-4, 3), F(-7, 6), F(-1), F(-2, 3), F(-1, 3), F(0), F(1, 2)
+        )
+        assert _eliminate_to_triple(nodes, t.mid) == t.eta == F(20, 27)
+        assert classify_triple(t).case is InterpCase.COMPOSITE
 
 
 class TestReiteration:

@@ -49,6 +49,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lo, hi, 257)
 
+    def test_default_grid_rejects_unknown_kind(self, bump2):
+        assert default_grid(bump2, "pair").points_per_axis == 25
+        with pytest.raises(ValueError, match="'pairs'"):
+            default_grid(bump2, "pairs")
+
 
 class TestSimpsonWhiteBox:
     def test_exact_on_quadratic(self):
@@ -141,6 +146,12 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(bump1, 0.5)
 
+    @pytest.mark.parametrize("norm", [lp_norm, lp_norm_midpoint_oracle])
+    @pytest.mark.parametrize("p", [float("inf"), float("nan"), 0.5])
+    def test_rejects_p_outside_finite_range(self, bump1, norm, p):
+        with pytest.raises(ValueError, match="sup_norm"):
+            norm(bump1, p)
+
 
 class TestSupNorm:
     def test_bump_peak_exact(self, bump1):
@@ -157,6 +168,17 @@ class TestSupNorm:
     def test_planar_peak(self, bump2):
         nv = sup_norm(bump2)
         assert nv.value == pytest.approx(np.exp(-1.0), rel=1e-15)
+
+    def test_error_estimates_are_plain_floats(self, bump1, bump2):
+        # The machine-precision floor wins in all three.
+        grid = GridSpec((-1.05,), (1.05,), 65)
+        for nv in (
+            sup_norm(bump2),
+            holder_seminorm(bump1, 0, 0.5, grid=grid, refinements=0),
+            brute_force_holder(bump1, 0, 0.5, grid=grid),
+        ):
+            assert type(nv.error_estimate) is float
+            assert nv.error_estimate == np.finfo(float).eps * nv.value
 
     def test_homogeneity(self, bump1):
         base = sup_norm(bump1, order=2)
