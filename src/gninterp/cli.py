@@ -122,7 +122,10 @@ def _exponent_str(s: Fraction) -> str:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
+    return values
 
 
 def _complete_indices(n: int, k: int, l: int, **given) -> tuple[dict, tuple]:
@@ -161,21 +164,20 @@ def parse_instance(text: str) -> InequalityInstance:
     sr = _index_scale(fields["r"]) if "r" in fields else None
     theta = as_rational(fields["theta"]) if "theta" in fields else None
     values, _ = _complete_indices(n, k, l, sp=sp, sq=sq, sr=sr, theta=theta)
-    missing = [name for name, v in values.items() if v is None]
-    if missing:
-        raise ValueError(f"instance underdetermined: missing {missing}")
     return InequalityInstance(
         n=n, k=k, l=l, sp=values["sp"], sq=values["sq"], sr=values["sr"], theta=values["theta"]
     )
 
 
+def _grid(fn, kind: str, points: Optional[int]) -> Optional[GridSpec]:
+    """``fn``'s default grid of this kind with ``points`` per axis; None when unset."""
+    if points is None:
+        return None
+    return replace(default_grid(fn, kind=kind), points_per_axis=points)
+
+
 def _grids(fn, cfg: RunConfig) -> tuple[Optional[GridSpec], Optional[GridSpec]]:
-    lp = pair = None
-    if cfg.points is not None:
-        lp = replace(default_grid(fn, kind="lp"), points_per_axis=cfg.points)
-    if cfg.pair_points is not None:
-        pair = replace(default_grid(fn, kind="pair"), points_per_axis=cfg.pair_points)
-    return lp, pair
+    return _grid(fn, "lp", cfg.points), _grid(fn, "pair", cfg.pair_points)
 
 
 # --- output -------------------------------------------------------------------
@@ -287,25 +289,21 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_derive(args: argparse.Namespace, cfg: RunConfig) -> int:
     inst = parse_instance(args.instance)
     chain = derive_chain(inst)
-    print(
-        f"instance n={inst.n} k={inst.k} l={inst.l} sp={inst.sp} sq={inst.sq}"
-        f" sr={inst.sr} theta={inst.theta}"
-    )
+    certificate = format_certificate(chain)
+    print(certificate.splitlines()[1])  # the certificate's instance line
     for step in chain.steps:
         print(describe_step(step))
     const = chain.final_constant
     print(f"final constant: {'empirical' if const is None else f'{const:.6g}'}")
     if args.out:
-        Path(args.out).write_text(format_certificate(chain))
+        Path(args.out).write_text(certificate)
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     fn = parse_testfn(args.fn, args.n)
     if args.holder:
-        grid = default_grid(fn, kind="pair")
-        if cfg.points is not None:
-            grid = replace(grid, points_per_axis=cfg.points)
+        grid = _grid(fn, "pair", cfg.points) or default_grid(fn, kind="pair")
         gamma = float(as_rational(args.p2))
         fast = holder_seminorm(fn, args.order, gamma, grid=grid, refinements=0)
         brute = brute_force_holder(fn, args.order, gamma, grid=grid)
@@ -317,7 +315,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
             cfg.out,
         )
         return 0 if equal else 1
-    grid = replace(default_grid(fn, kind="lp"), points_per_axis=65 if cfg.points is None else cfg.points)
+    grid = _grid(fn, "lp", 65 if cfg.points is None else cfg.points)
     p = float(as_rational(args.p))
     fast = lp_norm(fn, p, order=args.order, grid=grid)
     brute = lp_norm_midpoint_oracle(fn, p, order=args.order, grid=grid)

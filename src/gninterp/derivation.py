@@ -34,7 +34,7 @@ from .indices import (
     sobolev_sharp,
     structural_violations,
 )
-from .interp import VERDICT_SLACK, InterpolationTriple, classify_triple
+from .interp import InterpolationTriple, _same_dimension, _verdict, classify_triple
 from .norms import GridSpec, NormValue, xnorm
 from .testfn import TestFunction
 
@@ -493,13 +493,13 @@ class ChainEvaluation:
         return not self.violations
 
 
-def _end_ratio(inst: InequalityInstance, norm: Callable[[Slot], float], sq: Fraction) -> float:
+def _end_ratio(inst: InequalityInstance, norm: Callable[[Slot], NormValue], sq: Fraction) -> float:
     """N(l, sq) / (N(k, sp)^theta * N(0, sr)^(1 - theta)); N(0, sr) is not measured at theta = 1."""
     lhs = norm(Slot(inst.l, sq))
-    rhs = norm(Slot(inst.k, inst.sp)) ** float(inst.theta)
+    factors = [(norm(Slot(inst.k, inst.sp)), inst.theta)]
     if inst.theta != 1:
-        rhs *= norm(Slot(0, inst.sr)) ** float(1 - inst.theta)
-    return lhs / rhs if rhs > 0 else math.inf
+        factors.append((norm(Slot(0, inst.sr)), 1 - inst.theta))
+    return _verdict(lhs, factors, None)[1]
 
 
 def evaluate_chain(
@@ -510,12 +510,13 @@ def evaluate_chain(
 ) -> ChainEvaluation:
     """Measure every step of a chain on one sample function, in seminorms.
 
-    A step with an explicit constant is flagged as a violation when its
-    measured ratio exceeds the constant beyond the combined error estimates
-    of the norms involved plus ``VERDICT_SLACK``.  Empirical steps are
-    measured but never flagged.
+    A step with an explicit constant is flagged as a violation when the
+    verdict of :func:`gninterp.interp._verdict` fails.  Empirical steps are
+    measured but never flagged.  A function whose dimension is not the
+    instance's raises BadParams.
     """
     inst = chain.instance
+    _same_dimension(inst.n, fn)
     slots = {st.output for st in chain.steps} | {sl for st in chain.steps for sl in st.inputs}
     slots |= {Slot(inst.l, inst.sq), Slot(inst.k, inst.sp)}
     if inst.theta != 1:
@@ -527,30 +528,18 @@ def evaluate_chain(
         for sl in ordered
     }
 
-    def rel(nv: NormValue) -> float:
-        return nv.error_estimate / nv.value if nv.value > 0 else 0.0
-
     measured = []
     for step in chain.steps:
         lhs = norms[step.output]
-        rhs = 1.0
-        rel_total = rel(lhs)
-        for sl, e in zip(step.inputs, step.exponents):
-            nv = norms[sl]
-            rhs *= nv.value ** float(e)
-            rel_total += float(e) * rel(nv)
-        if rhs > 0:
-            ratio = lhs.value / rhs
-        else:
-            ratio = math.inf if lhs.value > 0 else 1.0
-        flag = step.constant is not None and ratio > step.constant * (1 + rel_total + VERDICT_SLACK)
-        measured.append(StepMeasurement(step, lhs, rhs, ratio, rel_total, flag))
+        factors = [(norms[sl], e) for sl, e in zip(step.inputs, step.exponents)]
+        rhs, ratio, rel, ok = _verdict(lhs, factors, step.constant)
+        measured.append(StepMeasurement(step, lhs, rhs, ratio, rel, ok is False))
 
     return ChainEvaluation(
         chain=chain,
         norms=tuple((sl, norms[sl]) for sl in ordered),
         steps=tuple(measured),
-        end_ratio=_end_ratio(inst, lambda sl: norms[sl].value, inst.sq),
+        end_ratio=_end_ratio(inst, norms.__getitem__, inst.sq),
     )
 
 
@@ -567,14 +556,16 @@ def dilation_sweep(
     With the balance intact the ratio is invariant in lambda.  ``sq_shift``
     perturbs the target scale by an exact rational, which tilts the log-log
     curve to slope -n * shift: a direct check that the balance is the only
-    exponent relation the ratio tolerates.
+    exponent relation the ratio tolerates.  A function whose dimension is
+    not the instance's raises BadParams.
     """
+    _same_dimension(inst.n, fn)
     sq = inst.sq + as_rational(sq_shift)
     kw = dict(mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
     out = []
     for lam in lambdas:
         v = fn.dilate(lam)
-        ratio = _end_ratio(inst, lambda sl: xnorm(v, sl.scale, order=sl.order, **kw).value, sq)
+        ratio = _end_ratio(inst, lambda sl: xnorm(v, sl.scale, order=sl.order, **kw), sq)
         out.append((float(lam), ratio))
     return out
 

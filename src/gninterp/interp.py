@@ -23,6 +23,12 @@ Case taxonomy (precedence order):
   a ball-averaging argument gives an analytic constant, exposed separately.
 * ``composite``: everything else; the span is cut at every signature boundary
   (and at 0 when crossing) and the pieces are chained by reiteration.
+
+Every measured inequality ``N(out) <= C * prod N(in)^e`` (a triple here, a
+chain step or an end ratio in :mod:`gninterp.derivation`) gets one verdict:
+the ratio ``N(out) / prod N(in)^e`` is 1 when both sides are 0 and infinite
+when only the product is, and it holds when ``ratio <= C * (1 + rel + slack)``
+with ``rel`` the exponent-weighted sum of relative error estimates.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import IntegralDiverges, NotInterpolable
+from .errors import BadParams, IntegralDiverges, NotInterpolable
 from .indices import Rational, SpaceIndex, as_rational, holder_signature
 from .norms import GridSpec, NormValue, sup_norm, xnorm
 from .testfn import TestFunction
@@ -44,6 +50,31 @@ from .testfn import TestFunction
 # Relative slack added to the propagated grid errors before a measured ratio
 # counts as exceeding an explicit constant.
 VERDICT_SLACK = 1e-9
+
+
+def _verdict(
+    lhs: NormValue, factors: Sequence[tuple[NormValue, Fraction]], bound: Optional[float]
+) -> tuple[float, float, float, Optional[bool]]:
+    """``(rhs, ratio, rel, ok)`` for ``lhs <= bound * prod(nv^e for nv, e in factors)``.
+
+    ``ratio = lhs / rhs`` is 1 when both sides are 0 and infinite when only
+    ``rhs`` is. ``rel`` sums the relative error estimates, each weighted by
+    its exponent. ``ok`` is None without a bound.
+    """
+    rhs = 1.0
+    for nv, e in factors:
+        rhs *= nv.value ** float(e)
+    weighted = ((lhs, 1), *factors)
+    rel = sum((float(e) * (nv.error_estimate / nv.value) for nv, e in weighted if nv.value > 0), 0.0)
+    ratio = lhs.value / rhs if rhs > 0 else (math.inf if lhs.value > 0 else 1.0)
+    ok = None if bound is None else bool(ratio <= bound * (1 + rel + VERDICT_SLACK))
+    return rhs, ratio, rel, ok
+
+
+def _same_dimension(n: int, fn: TestFunction) -> None:
+    """Raise BadParams unless ``fn`` lives in dimension ``n``."""
+    if fn.ndim != n:
+        raise BadParams(f"sample function has dimension {fn.ndim}, but the inequality has n={n}")
 
 
 class InterpCase(str, Enum):
@@ -345,21 +376,24 @@ def check_interpolation(
     classified bound (when one exists).
 
     ``ratio = mid / (left^eta * right^(1-eta))`` with all three norms taken
-    in the requested mode. ``ok`` is None for cases without a quantitative
-    bound, else whether the ratio stays under the bound after inflating it by
-    the propagated grid-error estimates plus ``VERDICT_SLACK``.
+    in the requested mode; ``ck_step`` triples take whole-derivative sup
+    norms instead. ``ok`` is None for cases without a quantitative bound,
+    else the verdict of :func:`_verdict`. A function whose dimension is not
+    ``t.n`` raises BadParams.
     """
+    _same_dimension(t.n, fn)
     cls = classify_triple(t)
-    if cls.case is InterpCase.CK_STEP:
-        # Integer scales mean whole-derivative sup norms; the factor-2 bound
-        # is a statement about those, not about the pair-scan seminorms.
-        orders = tuple(int(-t.n * s) for s in (t.left, t.mid, t.right))
-        return ck_interpolation_check(fn, orders, grid=lp_grid)
-    kw = dict(lp_grid=lp_grid, pair_grid=pair_grid)
-    mid_nv = xnorm(fn, t.mid, mode=mode, **kw)
-    left_nv = xnorm(fn, t.left, mode=mode, **kw)
-    right_nv = xnorm(fn, t.right, mode=mode, **kw)
-    return _report(t, cls, mid_nv, left_nv, right_nv)
+
+    def measure(s: Fraction) -> NormValue:
+        if cls.case is InterpCase.CK_STEP:
+            # Integer scales mean whole-derivative sup norms; the factor-2 bound
+            # is a statement about those, not about the pair-scan seminorms.
+            return sup_norm(fn, order=int(-t.n * s), grid=lp_grid)
+        return xnorm(fn, s, mode=mode, lp_grid=lp_grid, pair_grid=pair_grid)
+
+    mid, left, right = measure(t.mid), measure(t.left), measure(t.right)
+    _, ratio, rel, ok = _verdict(mid, ((left, t.eta), (right, 1 - t.eta)), cls.bound)
+    return InterpolationReport(t, cls, mid, left, right, ratio, cls.bound, ok, rel)
 
 
 def ck_interpolation_check(
@@ -376,31 +410,6 @@ def ck_interpolation_check(
     k1, k2, k3 = orders
     if not (k1 > k2 > k3 >= 0):
         raise NotInterpolable(f"orders must decrease strictly, got {orders}")
-    t = InterpolationTriple(
-        fn.ndim, Fraction(-k1, fn.ndim), Fraction(-k2, fn.ndim), Fraction(-k3, fn.ndim)
-    )
-    cls = classify_triple(t)
-    n1 = sup_norm(fn, order=k1, grid=grid)
-    n2 = sup_norm(fn, order=k2, grid=grid)
-    n3 = sup_norm(fn, order=k3, grid=grid)
-    return _report(t, cls, n2, n1, n3)
-
-
-def _report(
-    t: InterpolationTriple,
-    cls: Classification,
-    mid: NormValue,
-    left: NormValue,
-    right: NormValue,
-) -> InterpolationReport:
-    """Ratio ``mid / (left^eta * right^(1-eta))``, its propagated relative
-    error (summed mid, left, right) and the verdict against the bound."""
-    eta = float(t.eta)
-    denom = left.value**eta * right.value ** (1.0 - eta)
-    ratio = mid.value / denom if denom > 0 else math.inf
-    rel = 0.0
-    for nv, w in ((mid, 1.0), (left, eta), (right, 1.0 - eta)):
-        if nv.value > 0:
-            rel += float(w * nv.error_estimate / nv.value)
-    ok = None if cls.bound is None else bool(ratio <= cls.bound * (1.0 + rel + VERDICT_SLACK))
-    return InterpolationReport(t, cls, mid, left, right, ratio, cls.bound, ok, rel)
+    n = fn.ndim
+    t = InterpolationTriple(n, Fraction(-k1, n), Fraction(-k2, n), Fraction(-k3, n))
+    return check_interpolation(t, fn, lp_grid=grid)

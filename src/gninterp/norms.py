@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -279,16 +279,6 @@ def sup_norm(
         h = h / 4.0
     err = float(max(improvement, np.finfo(float).eps * abs(best)))
     return NormValue(best, err, "grid_sup")
-
-
-def _top_sup(fn: TestFunction, orders: Iterable[int], grid: GridSpec | None) -> tuple[float, float]:
-    """The largest :func:`sup_norm` over ``orders`` with its error estimate; (0, 0) for none."""
-    value = err = 0.0
-    for m in orders:
-        nv = sup_norm(fn, order=m, grid=grid)
-        if nv.value > value:
-            value, err = nv.value, nv.error_estimate
-    return value, err
 
 
 # -- pairwise Holder scans ----------------------------------------------------
@@ -574,6 +564,20 @@ def brute_force_holder(
 # -- scale-indexed dispatch ---------------------------------------------------
 
 
+def _holder_norm(
+    fn: TestFunction, lo: int, top: int, gamma: float, lp_grid: GridSpec | None, pair_grid: GridSpec | None
+) -> NormValue:
+    """The largest :func:`sup_norm` over orders ``lo .. top`` plus the
+    exponent-``gamma`` seminorm at order ``top``; error estimates add."""
+    sup = sup_err = 0.0
+    for m in range(lo, top + 1):
+        nv = sup_norm(fn, order=m, grid=lp_grid)
+        if nv.value > sup:
+            sup, sup_err = nv.value, nv.error_estimate
+    semi = holder_seminorm(fn, top, gamma, grid=pair_grid)
+    return NormValue(sup + semi.value, sup_err + semi.error_estimate, "pair_sup")
+
+
 def xnorm(
     fn: TestFunction,
     s: Fraction | int | str,
@@ -601,11 +605,9 @@ def xnorm(
     if idx.s == 0:
         return sup_norm(fn, order=order, grid=lp_grid)
     sig = holder_signature(idx)
-    semi = holder_seminorm(fn, order + sig.p1, float(sig.p2), grid=pair_grid)
     if mode == "seminorm":
-        return semi
-    sup_part, sup_err = _top_sup(fn, range(order, order + sig.p1 + 1), lp_grid)
-    return NormValue(sup_part + semi.value, sup_err + semi.error_estimate, "pair_sup")
+        return holder_seminorm(fn, order + sig.p1, float(sig.p2), grid=pair_grid)
+    return _holder_norm(fn, order, order + sig.p1, float(sig.p2), lp_grid, pair_grid)
 
 
 def check_holder_equality(
@@ -624,11 +626,7 @@ def check_holder_equality(
     """
     idx = SpaceIndex(s, fn.ndim)
     holder_signature(idx)  # s < 0 check
-    if pair_grid is None:
-        pair_grid = default_grid(fn, "pair")
     down = holder_signature(SpaceIndex(idx.s - Fraction(1, fn.ndim), fn.ndim))
-    sup_part, sup_err = _top_sup(fn, range(1, down.p1 + 1), lp_grid)
-    semi = holder_seminorm(fn, down.p1, float(down.p2), grid=pair_grid)
-    lhs = NormValue(sup_part + semi.value, sup_err + semi.error_estimate, "pair_sup")
+    lhs = _holder_norm(fn, 1, down.p1, float(down.p2), lp_grid, pair_grid)
     rhs = xnorm(fn, idx.s, order=1, mode="full", lp_grid=lp_grid, pair_grid=pair_grid)
     return lhs, rhs

@@ -181,6 +181,14 @@ class TestSweep:
         assert out == ""
         assert err == f"error: {cfg}:2: tolerance_ratio must be positive, got -1.0\n"
 
+    def test_empty_lambda_list_rejected(self):
+        code, out, err = run(
+            ["sweep", "--instance", "n=1,k=2,l=1,p=2,r=-2,theta=3/4", "--lambdas", ","]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--lambdas" in err
+
 
 class TestDerive:
     def test_output_is_reproducible(self):
@@ -196,11 +204,12 @@ class TestDerive:
 
     def test_certificate_file_parses_back(self, tmp_path):
         cert = tmp_path / "chain.cert"
-        code, _, _ = run(
+        code, out, _ = run(
             ["derive", "--instance", "n=3,k=2,l=1,p=2,r=-3,theta=1/2",
              "--out", str(cert)]
         )
         assert code == 0
+        assert out.splitlines()[0] == cert.read_text().splitlines()[1]
         chain = parse_certificate(cert.read_text())
         assert len(chain.steps) == 4
 

@@ -17,6 +17,7 @@ from gninterp.derivation import (
     RULE_INTERP,
     RULE_SOBOLEV,
     ProofChain,
+    _interp_step,
     Slot,
     Step,
     base_lemma_steps,
@@ -34,6 +35,7 @@ from gninterp.derivation import (
 )
 from gninterp.errors import (
     BadCertificate,
+    BadParams,
     BorderlineIndex,
     BrokenChain,
     InternalBorderline,
@@ -41,6 +43,7 @@ from gninterp.errors import (
     InvalidInstance,
 )
 from gninterp.indices import InequalityInstance, solve_q
+from gninterp.interp import InterpolationTriple, check_interpolation
 from gninterp.norms import xnorm
 from gninterp.testfn import bump, bump_poly, plateau
 
@@ -395,6 +398,20 @@ class TestNumericWalk:
         scaled = evaluate_chain(chain, bump(1).scaled(10.0)).end_ratio
         assert scaled == pytest.approx(base, rel=1e-12)
 
+    def test_step_verdict_matches_the_triple_check(self):
+        step = _interp_step(1, 0, F(-3), F(-2), F(-3, 2))
+        inst = make_instance(1, 2, 1, F(-1, 2), F(-2), F(1))
+        (m,) = evaluate_chain(ProofChain(inst, (step,)), bump(1)).steps
+        rep = check_interpolation(InterpolationTriple(1, F(-3), F(-2), F(-3, 2)), bump(1))
+        assert rep.classification.case.value == "holder_step"
+        assert (m.ratio, m.rel_error) == (rep.ratio, rep.rel_error)
+        assert m.violation is (rep.ok is False)
+
+    def test_dimension_mismatch_rejected(self):
+        chain = derive_chain(make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2)))
+        with pytest.raises(BadParams, match="dimension 1.*n=2"):
+            evaluate_chain(chain, bump(1))
+
     def test_walk_is_deterministic(self):
         inst = make_instance(1, 2, 1, F(1, 3), F(-1), F(1, 2))
         chain = derive_chain(inst)
@@ -431,6 +448,11 @@ class TestDilation:
         points = dilation_sweep(inst, bump(1), [0.5, 1.0])
         assert calls == [(1, inst.sq), (2, inst.sp)] * 2
         assert all(math.isfinite(r) and r > 0 for _, r in points)
+
+    def test_dimension_mismatch_rejected(self):
+        inst = make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2))
+        with pytest.raises(BadParams, match="dimension 3.*n=2"):
+            dilation_sweep(inst, bump(3), [1.0])
 
     def test_broken_balance_has_analytic_slope(self):
         inst = make_instance(1, 2, 1, F(1, 2), F(-1, 2), F(3, 4))

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from scipy.special import beta
 
 import gninterp
-from gninterp.errors import GNInterpError, InexactIndex, IntegralDiverges, NotInterpolable
+from gninterp.errors import BadParams, GNInterpError, InexactIndex, IntegralDiverges, NotInterpolable
 from gninterp.interp import (
     InterpCase,
     _eliminate_to_triple,
@@ -31,6 +31,7 @@ from gninterp.interp import (
     split_sum_inequality,
     unit_ball_volume,
 )
+from gninterp.norms import GridSpec
 from gninterp.testfn import bump, bump_poly, bump_wave
 
 etas = st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)
@@ -290,6 +291,23 @@ class TestMeasuredInterpolation:
         rep = check_interpolation(t, bump1)
         assert rep.ok is None
         assert rep.bound is None
+
+    def test_zero_over_zero_holds(self, bump1):
+        # The grid lies off the support, so all three norms are 0.
+        t = InterpolationTriple(1, F(1, 4), F(3, 8), F(1, 2))
+        rep = check_interpolation(t, bump1, lp_grid=GridSpec((5.0,), (6.0,), 33))
+        assert (rep.mid_norm.value, rep.left_norm.value, rep.right_norm.value) == (0.0, 0.0, 0.0)
+        assert rep.ratio == 1.0
+        assert rep.ok is True
+
+    def test_ck_check_is_the_triple_check(self, bump1):
+        t = InterpolationTriple(1, F(-2), F(-1), F(0))
+        assert ck_interpolation_check(bump1, (2, 1, 0)) == check_interpolation(t, bump1)
+
+    def test_dimension_mismatch_rejected(self, bump1):
+        t = InterpolationTriple(2, F(-1, 2), F(-1, 4), F(1, 2))
+        with pytest.raises(BadParams, match="dimension 1.*n=2"):
+            check_interpolation(t, bump1)
 
     def test_ck_check_rejects_bad_orders(self, bump1):
         with pytest.raises(NotInterpolable):
