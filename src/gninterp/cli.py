@@ -3,8 +3,9 @@
 Subcommands wrap the library modules one-to-one: ``params`` solves and
 validates index tuples, ``norm`` evaluates a single norm, ``check`` measures
 one interpolation triple, ``sweep`` runs the dilation invariance check,
-``derive`` builds and serializes proof chains, ``oracle`` compares the fast
-norm paths against their brute-force references.
+``derive`` builds and serializes proof chains, ``verify`` re-verifies a
+certificate file, ``oracle`` compares the fast norm paths against their
+brute-force references.
 
 Exit codes: 0 success, 1 mathematical violation, 2 parse or config errors.
 Machine output is CSV with a comment header naming version, seed, and config
@@ -28,8 +29,9 @@ from .derivation import (
     describe_step,
     dilation_sweep,
     format_certificate,
+    parse_certificate,
 )
-from .errors import GNInterpError, InternalBorderline
+from .errors import BrokenChain, GNInterpError, InternalBorderline
 from .indices import (
     InequalityInstance,
     SpaceIndex,
@@ -286,6 +288,11 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 1 if spread > 1 + cfg.tolerance_ratio else 0
 
 
+def _print_final_constant(chain) -> None:
+    const = chain.final_constant
+    print(f"final constant: {'empirical' if const is None else f'{const:.6g}'}")
+
+
 def _cmd_derive(args: argparse.Namespace, cfg: RunConfig) -> int:
     inst = parse_instance(args.instance)
     chain = derive_chain(inst)
@@ -293,10 +300,17 @@ def _cmd_derive(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(certificate.splitlines()[1])  # the certificate's instance line
     for step in chain.steps:
         print(describe_step(step))
-    const = chain.final_constant
-    print(f"final constant: {'empirical' if const is None else f'{const:.6g}'}")
+    _print_final_constant(chain)
     if args.out:
         Path(args.out).write_text(certificate)
+    return 0
+
+
+def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+    chain = parse_certificate(Path(args.file).read_text())
+    print(format_certificate(chain).splitlines()[1])
+    print(f"verified: {len(chain.steps)} steps")
+    _print_final_constant(chain)
     return 0
 
 
@@ -393,6 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the certificate file here")
     p.set_defaults(handler=_cmd_derive)
 
+    p = subs.add_parser("verify", help="re-verify a certificate written by derive --out")
+    p.add_argument("file")
+    p.set_defaults(handler=_cmd_verify)
+
     p = subs.add_parser("oracle", help="fast paths against brute-force references")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--holder", action="store_true", help="pair-scan seminorm against brute force")
@@ -434,6 +452,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal borderline: {exc}", file=sys.stderr)
         for step in exc.partial_steps:
             print(f"  partial: {describe_step(step)}", file=sys.stderr)
+        return 1
+    except BrokenChain as exc:
+        print(f"broken chain: {exc}", file=sys.stderr)
         return 1
     except (GNInterpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

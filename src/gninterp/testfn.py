@@ -13,6 +13,12 @@ ed., ch. 13). They are composed with the inner series
 accurate to rounding even next to the support boundary, where the profiles
 are flat to infinite order; points outside the support get exact zeros.
 
+Jets are evaluated in consecutive blocks of points written into one output
+array. Every operation of the kernel is per point, so the values do not
+depend on the blocking; what the blocking buys is that the kernel's
+temporaries stay small enough for the allocator to reuse them from its heap,
+instead of mapping fresh pages from the OS and faulting them in on every jet.
+
 Families
 --------
 ``bump(R)``
@@ -52,6 +58,14 @@ MAX_DIM = 3
 # pass through magnitudes of about t0^(-2k), at most 1e144 at order 6, safely
 # below overflow.
 BOUNDARY_CUTOFF = 1e-12
+
+# Points per block of TestFunction.jet. One coefficient row of a block is
+# 96 KiB, under glibc's default 128 KiB mmap threshold, so the kernel's
+# temporaries are reused from the heap instead of being mapped, returned to
+# the OS and page-faulted in again on every jet. Each block also costs a fixed
+# interpreter overhead, so this is the largest multiple of 4096 points whose
+# rows stay under the threshold.
+_JET_BLOCK = 12288
 
 # (y, t0, order) -> [h^alpha] P(y + h) at in-support points y (one row per
 # multi-index of multi_indices(n, order), one column per point).
@@ -309,26 +323,31 @@ class TestFunction:
         """All derivatives up to total order at the given points.
 
         Returns ``{alpha: D^alpha u(points)}`` for every multi-index with
-        ``|alpha| <= order``, each value an array over the points.
+        ``|alpha| <= order``, each value an array over the points. The points
+        are evaluated in blocks of ``_JET_BLOCK``, so temporaries are bounded
+        by the block, not by the grid, and stay in the allocator's heap.
         """
         if not (0 <= order <= MAX_JET_ORDER):
             raise JetOrderOverflow(f"jet order {order} outside 0..{MAX_JET_ORDER}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.ndim:
             raise BadParams(f"points have dimension {pts.shape[1]}, function has {self.ndim}")
-        y = (pts - np.asarray(self.center)) / self.radius
-        r2 = y[:, 0] * y[:, 0]
-        for ax in range(1, self.ndim):
-            r2 = r2 + y[:, ax] * y[:, ax]
-        t0 = 1.0 - r2
         keys = multi_indices(self.ndim, order)
         factorials = [math.prod(map(math.factorial, alpha)) for alpha in keys]
         scale = np.array([self.amp * self.radius ** (-sum(alpha)) * f for alpha, f in zip(keys, factorials)])
+        center = np.asarray(self.center)
         out = np.zeros((len(keys), pts.shape[0]))
-        inside = np.flatnonzero(t0 > BOUNDARY_CUTOFF)
-        if inside.size:
-            for row, coeff, factor in zip(out, self.profile(y[inside], t0[inside], order), scale):
-                row[inside] = coeff * factor
+        for lo in range(0, pts.shape[0], _JET_BLOCK):
+            y = (pts[lo : lo + _JET_BLOCK] - center) / self.radius
+            r2 = y[:, 0] * y[:, 0]
+            for ax in range(1, self.ndim):
+                r2 = r2 + y[:, ax] * y[:, ax]
+            t0 = 1.0 - r2
+            inside = np.flatnonzero(t0 > BOUNDARY_CUTOFF)
+            if inside.size:
+                block = out[:, lo : lo + _JET_BLOCK]
+                for row, coeff, factor in zip(block, self.profile(y[inside], t0[inside], order), scale):
+                    row[inside] = coeff * factor
         return dict(zip(keys, out))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -364,8 +383,6 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
     axis = int(axis)
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
-        # The factor is built before the bump series: in the other order the
-        # 3-D order-6 product measured up to 40% slower (memory placement).
         factor = _power_rows(y[:, axis], deg, order)
         return _times_axis_series(_bump(y, t0, order), factor, axis, ndim, order)
 
@@ -377,7 +394,7 @@ def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
     omega = float(omega)
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
-        factor = _cos_rows(y[:, 0], omega, order)  # first, as in bump_poly
+        factor = _cos_rows(y[:, 0], omega, order)
         return _times_axis_series(_bump(y, t0, order), factor, 0, ndim, order)
 
     return TestFunction(ndim, f"bump_wave(R={R!r},omega={omega!r})", profile, R, (0.0,) * ndim)

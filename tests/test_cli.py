@@ -229,6 +229,40 @@ class TestDerive:
         assert "partial:" in err
 
 
+class TestVerify:
+    INSTANCE = "n=1,k=3,l=2,p=-1/2,r=-1/2,theta=2/3"
+
+    def certificate(self, tmp_path):
+        cert = tmp_path / "chain.cert"
+        assert run(["derive", "--instance", self.INSTANCE, "--out", str(cert)])[0] == 0
+        return cert
+
+    def test_derived_certificate_verifies(self, tmp_path):
+        cert = self.certificate(tmp_path)
+        code, out, err = run(["verify", str(cert)])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [cert.read_text().splitlines()[1], "verified: 9 steps", "final constant: 4"]
+
+    def test_broken_chain_exits_one(self, tmp_path):
+        cert = self.certificate(tmp_path)
+        cert.write_text(cert.read_text().replace("exp=2/3;1/3", "exp=1/2;1/2"))
+        code, out, err = run(["verify", str(cert)])
+        assert (code, out) == (1, "")
+        assert err.startswith("broken chain: INDUCT_DIAG")
+
+    def test_bad_certificate_exits_two(self, tmp_path):
+        cert = self.certificate(tmp_path)
+        cert.write_text(cert.read_text().replace("gninterp-certificate 1", "gninterp-certificate 9"))
+        code, out, err = run(["verify", str(cert)])
+        assert (code, out) == (2, "")
+        assert "unsupported header" in err
+
+    def test_unreadable_file_exits_two(self, tmp_path):
+        code, out, err = run(["verify", str(tmp_path / "missing.cert")])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
 class TestOracle:
     @pytest.mark.parametrize("n,points", [(1, "129"), (2, "25"), (3, "9")])
     def test_holder_brute_force_agrees_bitwise(self, n, points):

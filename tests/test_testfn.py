@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gninterp import testfn
 from gninterp.errors import (
     BadParams,
     DslSyntaxError,
@@ -193,27 +194,76 @@ def _oracle_points(fn, kw, frame, n):
     return np.concatenate([default_grid(fn).mesh(), (kw["R"] * y + shift) / lam])
 
 
+def _framed(name, n, frame):
+    kw = _family_kwargs(name, n)
+    shift, lam, amp = frame
+    return FAMILIES[name](n, **kw).translate(np.full(n, shift)).dilate(lam).scaled(amp), kw
+
+
+def _check_against_reference(fn, kw, name, frame, x):
+    n = x.shape[1]
+    amp = frame[2]
+    ref, y = _reference_jet(name, kw, frame, x)
+    r2 = np.sum(y * y, axis=1)
+    outside = r2 > 1.0 + 1e-9
+    flat = r2 < kw["rho"] ** 2 - 1e-9 if name == "plateau" else np.zeros(len(x), bool)
+    assert outside.any() and (flat.any() or name != "plateau")
+    for order in range(MAX_JET_ORDER + 1):
+        jet = fn.jet(x, order)
+        assert list(jet) == list(multi_indices(n, order))
+        for alpha, got in jet.items():
+            want = ref[alpha]
+            tol = 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= tol, (order, alpha)
+            assert np.all(got[outside] == 0.0), alpha
+            assert np.all(got[flat] == (0.0 if any(alpha) else amp)), alpha
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="the reference needs an extended long double")
 class TestRadialJetOracle:
     @pytest.mark.parametrize("frame", FRAMES)
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_jet_matches_series_algebra(self, n, name, frame):
-        kw = _family_kwargs(name, n)
-        shift, lam, amp = frame
-        fn = FAMILIES[name](n, **kw).translate(np.full(n, shift)).dilate(lam).scaled(amp)
+        fn, kw = _framed(name, n, frame)
+        _check_against_reference(fn, kw, name, frame, _oracle_points(fn, kw, frame, n))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_edges_match_series_algebra(self, n, name, monkeypatch):
+        # The oracle's point sets fit in one default block; a 37-point block
+        # puts edges inside the support, in the 1e-9 band around the support
+        # sphere and, for plateau, in the flat core.
+        monkeypatch.setattr(testfn, "_JET_BLOCK", 37)
+        frame = FRAMES[1]
+        fn, kw = _framed(name, n, frame)
         x = _oracle_points(fn, kw, frame, n)
-        ref, y = _reference_jet(name, kw, frame, x)
-        r2 = np.sum(y * y, axis=1)
-        outside = r2 > 1.0 + 1e-9
-        flat = r2 < kw["rho"] ** 2 - 1e-9 if name == "plateau" else np.zeros(len(x), bool)
-        assert outside.any() and (flat.any() or name != "plateau")
+        y = (frame[1] * x - frame[0]) / kw["R"]
+        r = np.sqrt(np.sum(y * y, axis=1))[37::37]
+        assert np.any(r < 1.0 - 1e-6) and np.any(np.abs(r - 1.0) < 2e-9)
+        assert name != "plateau" or np.any(r < kw["rho"] - 1e-6)
+        _check_against_reference(fn, kw, name, frame, x)
+
+
+class TestJetBlocks:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocked_jet_equals_jets_of_slices(self, n, name):
+        fn, _ = _framed(name, n, FRAMES[1])
+        lo, hi = fn.bounding_box(1.1)
+        npts = 3 * testfn._JET_BLOCK + 1001
+        x = lo + (hi - lo) * np.random.default_rng(n).random((npts, n))
+        cuts = [0, 1, 4999, testfn._JET_BLOCK + 3, 2 * testfn._JET_BLOCK - 17, npts]
         for order in range(MAX_JET_ORDER + 1):
-            jet = fn.jet(x, order)
+            whole = fn.jet(x, order)
+            parts = [fn.jet(x[a:b], order) for a, b in zip(cuts, cuts[1:])]
+            for alpha, got in whole.items():
+                want = np.concatenate([part[alpha] for part in parts])
+                assert got.tobytes() == want.tobytes(), (order, alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_points_give_empty_rows(self, n):
+        for order in range(MAX_JET_ORDER + 1):
+            jet = plateau(n).jet(np.empty((0, n)), order)
             assert list(jet) == list(multi_indices(n, order))
-            for alpha, got in jet.items():
-                want = ref[alpha]
-                tol = 1e-13 * np.max(np.abs(want))
-                assert np.max(np.abs(got - want)) <= tol, (order, alpha)
-                assert np.all(got[outside] == 0.0), alpha
-                assert np.all(got[flat] == (0.0 if any(alpha) else amp)), alpha
+            assert all(row.shape == (0,) for row in jet.values())
