@@ -148,30 +148,56 @@ def chain_constant(steps: Sequence[Step]) -> Optional[float]:
 
 
 def verify_step(step: Step, n: int) -> None:
-    """Check one step's slot algebra exactly; raise BrokenChain on failure."""
-    if step.rule not in RULES:
-        raise BrokenChain(f"unknown rule {step.rule!r}")
-    if len(step.inputs) != len(step.exponents) or not step.inputs:
-        raise BrokenChain(f"{step.rule}: {len(step.inputs)} inputs, {len(step.exponents)} exponents")
-    if sum(step.exponents, Fraction(0)) != 1:
-        raise BrokenChain(f"{step.rule}: exponents {step.exponents} do not sum to 1")
-    for e in step.exponents:
-        if not (0 <= e <= 1):
-            raise BrokenChain(f"{step.rule}: exponent {e} outside [0, 1]")
-    if len(step.inputs) == 1:
-        dj = step.output.order - step.inputs[0].order
-        ds = step.output.scale - step.inputs[0].scale
-        if abs(dj) != 1 or Fraction(dj) != n * ds:
+    """Check one step's slot algebra exactly; raise BrokenChain on failure.
+
+    Sums are kept as unreduced integer ratios and compared by
+    cross-multiplication (Knuth, TAOCP Vol. 2, 4.5.1), so no gcd is taken
+    and no Fraction is built unless a message needs one.
+    """
+    rule, inputs, exps, out = step.rule, step.inputs, step.exponents, step.output
+    if rule not in RULES:
+        raise BrokenChain(f"unknown rule {rule!r}")
+    if len(inputs) != len(exps) or not inputs:
+        raise BrokenChain(f"{rule}: {len(inputs)} inputs, {len(exps)} exponents")
+    try:
+        ratios = [(e.numerator, e.denominator) for e in exps]
+    except AttributeError:
+        raise BrokenChain(f"{rule}: exponents {exps} are not exact rationals") from None
+    num, den = 0, 1
+    for a, b in ratios:
+        num, den = num * b + a * den, den * b
+    if num != den:
+        raise BrokenChain(f"{rule}: exponents {exps} do not sum to 1")
+    for e, (a, b) in zip(exps, ratios):
+        if not 0 <= a <= b:
+            raise BrokenChain(f"{rule}: exponent {e} outside [0, 1]")
+    if len(inputs) == 1:
+        # One derivative order and 1/n in scale, moved together.
+        src = inputs[0]
+        dj = out.order - src.order
+        c_in, d_in = src.scale.numerator, src.scale.denominator
+        c_out, d_out = out.scale.numerator, out.scale.denominator
+        if abs(dj) != 1 or dj * d_out * d_in != n * (c_out * d_in - c_in * d_out):
             raise BrokenChain(
-                f"{step.rule}: order shift {dj} does not match scale shift {ds} in dimension {n}"
+                f"{rule}: order shift {dj} does not match scale shift {out.scale - src.scale}"
+                f" in dimension {n}"
             )
         return
-    order = sum((e * sl.order for e, sl in zip(step.exponents, step.inputs)), Fraction(0))
-    scale = sum((e * sl.scale for e, sl in zip(step.exponents, step.inputs)), Fraction(0))
-    if order != step.output.order:
-        raise BrokenChain(f"{step.rule}: output order {step.output.order}, inputs combine to {order}")
-    if scale != step.output.scale:
-        raise BrokenChain(f"{step.rule}: output scale {step.output.scale}, inputs combine to {scale}")
+    # order = onum / oden and scale = snum / sden, both unreduced.
+    onum, oden, snum, sden = 0, 1, 0, 1
+    for (a, b), sl in zip(ratios, inputs):
+        p, q = sl.scale.numerator, sl.scale.denominator
+        onum, oden = onum * b + a * sl.order * oden, oden * b
+        snum, sden = snum * b * q + a * p * sden, sden * b * q
+    if onum != out.order * oden:
+        raise BrokenChain(f"{rule}: output order {out.order}, inputs combine to {Fraction(onum, oden)}")
+    if snum * out.scale.denominator != out.scale.numerator * sden:
+        raise BrokenChain(f"{rule}: output scale {out.scale}, inputs combine to {Fraction(snum, sden)}")
+
+
+def _slot_key(sl: Slot) -> tuple[int, int, int]:
+    """A slot as plain integers: hashing it skips Fraction.__hash__."""
+    return sl.order, sl.scale.numerator, sl.scale.denominator
 
 
 def verify_chain(chain: ProofChain) -> None:
@@ -186,12 +212,13 @@ def verify_chain(chain: ProofChain) -> None:
     inst = chain.instance
     for step in chain.steps:
         verify_step(step, inst.n)
-    produced = {step.output for step in chain.steps}
-    consumed = {sl for step in chain.steps for sl in step.inputs}
-    allowed = {Slot(inst.k, inst.sp), Slot(0, inst.sr)}
+    produced = {_slot_key(step.output) for step in chain.steps}
+    consumed = {_slot_key(sl) for step in chain.steps for sl in step.inputs}
+    allowed = {_slot_key(Slot(inst.k, inst.sp)), _slot_key(Slot(0, inst.sr))}
     free = consumed - produced
     if not free <= allowed:
-        raise BrokenChain(f"unresolved slots {sorted(str(s) for s in free - allowed)}")
+        unresolved = (Slot(o, Fraction(c, d)) for o, c, d in free - allowed)
+        raise BrokenChain(f"unresolved slots {sorted(str(s) for s in unresolved)}")
     target = Slot(inst.l, inst.sq)
     if chain.steps[-1].output != target:
         raise BrokenChain(f"chain ends at {chain.steps[-1].output}, target {target}")
@@ -236,7 +263,7 @@ def _interp_step(
     """Interpolate the middle norm between two outer norms at one order."""
     triple = InterpolationTriple(n, lo, mid, hi)
     cls = classify_triple(triple)
-    eta = triple.eta
+    eta = cls.eta
     return Step(
         RULE_INTERP,
         (Slot(order, lo), Slot(order, hi)),
@@ -614,28 +641,55 @@ def format_certificate(chain: ProofChain) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_rational(text: str) -> Fraction:
+    """An ``int`` or ``int/int`` token, as :func:`format_certificate` writes them."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        return Fraction(int(num))
+    d = int(den)
+    if d <= 0:
+        raise ValueError(f"denominator of {text!r} must be positive")
+    return Fraction(int(num), d)
+
+
 def _parse_slot(text: str) -> Slot:
     order, _, scale = text.partition(",")
-    return Slot(int(order), Fraction(scale))
+    return Slot(int(order), _parse_rational(scale))
+
+
+def _key_values(tokens: list[str]) -> dict[str, str]:
+    """``key=value`` tokens as a dict; a key given twice is malformed."""
+    pairs = [tok.split("=", 1) for tok in tokens]
+    fields = dict(pairs)
+    if len(fields) != len(pairs):
+        raise BadCertificate(f"duplicate key in {' '.join(tokens)!r}")
+    return fields
 
 
 def parse_certificate(text: str) -> ProofChain:
-    """Parse the line format back into a verified chain."""
+    """Parse the line format back into a verified chain.
+
+    Raises BadCertificate when the text is malformed or its instance has a
+    structural violation, and BrokenChain when the steps do not verify.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
         magic, version = lines[0].split()
         if magic != "gninterp-certificate" or int(version) != CERTIFICATE_VERSION:
             raise BadCertificate(f"unsupported header {lines[0]!r}")
-        fields = dict(tok.split("=", 1) for tok in lines[1].split()[1:])
+        fields = _key_values(lines[1].split()[1:])
         inst = InequalityInstance(
             n=int(fields["n"]),
             k=int(fields["k"]),
             l=int(fields["l"]),
-            sp=Fraction(fields["sp"]),
-            sq=Fraction(fields["sq"]),
-            sr=Fraction(fields["sr"]),
-            theta=Fraction(fields["theta"]),
+            sp=_parse_rational(fields["sp"]),
+            sq=_parse_rational(fields["sq"]),
+            sr=_parse_rational(fields["sr"]),
+            theta=_parse_rational(fields["theta"]),
         )
+        problems = structural_violations(inst, min_order=0 if inst.theta == 1 else 1)
+        if problems:
+            raise BadCertificate("invalid instance: " + "; ".join(v.message for v in problems))
         count = int(lines[2].split()[1])
         steps = []
         for ln in lines[3 : 3 + count]:
@@ -644,14 +698,14 @@ def parse_certificate(text: str) -> ProofChain:
             if toks[0] != "step":
                 raise BadCertificate(f"expected a step line, got {ln!r}")
             rule = toks[1]
-            kv = dict(tok.split("=", 1) for tok in toks[2:])
+            kv = _key_values(toks[2:])
             const = None if kv["constant"] == "empirical" else float(kv["constant"])
             steps.append(
                 Step(
                     rule=rule,
                     inputs=tuple(_parse_slot(t) for t in kv["in"].split(";")),
                     output=_parse_slot(kv["out"]),
-                    exponents=tuple(Fraction(t) for t in kv["exp"].split(";")),
+                    exponents=tuple(_parse_rational(t) for t in kv["exp"].split(";")),
                     constant=const,
                     note=note,
                 )

@@ -8,12 +8,13 @@ from the signature
     p1 = -floor(n*s + 1),    p2 = -n*s - p1,    p2 in (0, 1].
 
 All index manipulation is done in ``fractions.Fraction``; floats never enter
-parameter logic, so round-trips and balance checks are exact.
+parameter logic, so round-trips and balance checks are exact.  The hottest
+checks compare numerators and denominators by cross-multiplication instead
+of building intermediate Fractions.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +67,7 @@ class SpaceIndex:
             object.__setattr__(self, "s", as_rational(self.s))
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got n={self.n}")
-        if self.s > 1:
+        if self.s.numerator > self.s.denominator:  # s > 1
             raise ScaleOverflow(f"s={self.s} lies above the scale (p in (0,1) is excluded)")
 
     @property
@@ -106,12 +107,12 @@ def holder_signature(idx: SpaceIndex) -> HolderSignature:
     not p2 = 0; that choice keeps p2 positive and makes the map s -> (p1, p2)
     a bijection onto its range.
     """
-    if idx.s >= 0:
+    a, b = idx.s.numerator, idx.s.denominator
+    if a >= 0:
         raise NonHolderIndex(f"s={idx.s} is not in the Holder range (need s < 0)")
-    ns = idx.n * idx.s
-    p1 = -math.floor(ns + 1)
-    p2 = -ns - p1
-    return HolderSignature(p1=p1, p2=p2)
+    na = idx.n * a  # n*s = na/b
+    p1 = -((na + b) // b)
+    return HolderSignature(p1=p1, p2=Fraction(-na - p1 * b, b))
 
 
 def signature_index(sig: HolderSignature, n: int) -> SpaceIndex:
@@ -218,33 +219,41 @@ class ValidityReport:
 _KINDS = ("range", "balance", "exclusion", "theta")
 
 
-def structural_violations(inst: InequalityInstance) -> list[Violation]:
+def structural_violations(inst: InequalityInstance, min_order: int = 1) -> list[Violation]:
     """Range, balance and theta-window violations: the failures that make a
     derivation meaningless.
 
-    The balance is only defined for n >= 1 and the theta window [l/k, 1]
+    The target order must satisfy ``min_order <= l < k``; an embedding
+    (theta = 1, as :func:`~gninterp.derivation.sobolev_chain` builds) may
+    descend to order 0 and is checked with ``min_order=0``.  The balance is only defined for n >= 1 and the theta window [l/k, 1]
     for k != 0, so each is checked only then; a bad n or k is already a
-    range violation.
+    range violation.  Every check compares numerators and denominators by
+    cross-multiplication; Fractions are built only for messages.
     """
     out = []
-    if inst.n < 1:
-        out.append(Violation("range", f"dimension n={inst.n} must be >= 1"))
-    if not (1 <= inst.l < inst.k):
-        out.append(Violation("range", f"orders must satisfy 1 <= l < k, got l={inst.l}, k={inst.k}"))
+    n, k, l = inst.n, inst.k, inst.l
+    if n < 1:
+        out.append(Violation("range", f"dimension n={n} must be >= 1"))
+    if not (min_order <= l < k):
+        out.append(Violation("range", f"orders must satisfy {min_order} <= l < k, got l={l}, k={k}"))
     for name, s in (("sp", inst.sp), ("sq", inst.sq), ("sr", inst.sr)):
-        if s > 1:
+        if s.numerator > s.denominator:
             out.append(Violation("range", f"{name}={s} above the scale (p in (0,1) excluded)"))
-    if inst.n >= 1:
-        lhs = inst.sq - Fraction(inst.l, inst.n)
-        rhs = inst.theta * (inst.sp - Fraction(inst.k, inst.n)) + (1 - inst.theta) * inst.sr
-        if lhs != rhs:
-            out.append(
-                Violation("balance", f"sq - l/n = {lhs} but theta*(sp - k/n) + (1-theta)*sr = {rhs}")
-            )
-    if inst.k != 0:
-        lo = Fraction(inst.l, inst.k)
-        if not (lo <= inst.theta <= 1):
-            out.append(Violation("theta", f"theta={inst.theta} outside [{lo}, 1]"))
+    a, b = inst.sp.numerator, inst.sp.denominator
+    c, d = inst.sq.numerator, inst.sq.denominator
+    e, f = inst.sr.numerator, inst.sr.denominator
+    t, u = inst.theta.numerator, inst.theta.denominator
+    # The balance times n*b*d*f*u, then divided by n.
+    if n >= 1 and (c * n - l * d) * u * b * f != (t * (a * n - k * b) * f + (u - t) * e * b * n) * d:
+        lhs = inst.sq - Fraction(l, n)
+        rhs = inst.theta * (inst.sp - Fraction(k, n)) + (1 - inst.theta) * inst.sr
+        out.append(
+            Violation("balance", f"sq - l/n = {lhs} but theta*(sp - k/n) + (1-theta)*sr = {rhs}")
+        )
+    if k != 0:
+        lo_num, lo_den = (l, k) if k > 0 else (-l, -k)
+        if not (lo_num * u <= t * lo_den and t <= u):
+            out.append(Violation("theta", f"theta={inst.theta} outside [{Fraction(l, k)}, 1]"))
     return out
 
 

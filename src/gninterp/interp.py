@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BadParams, IntegralDiverges, NotInterpolable
-from .indices import Rational, SpaceIndex, as_rational, holder_signature
+from .indices import HolderSignature, Rational, SpaceIndex, as_rational, holder_signature
 from .norms import GridSpec, NormValue, sup_norm, xnorm
 from .testfn import TestFunction
 
@@ -127,12 +127,8 @@ class Classification:
     nodes: tuple[Fraction, ...] = ()
 
 
-def _p1(s: Fraction, n: int) -> int:
-    return holder_signature(SpaceIndex(s, n)).p1
-
-
-def _p2(s: Fraction, n: int) -> Fraction:
-    return holder_signature(SpaceIndex(s, n)).p2
+def _sig(s: Fraction, n: int) -> HolderSignature:
+    return holder_signature(SpaceIndex(s, n))
 
 
 def _is_boundary(s: Fraction, n: int) -> bool:
@@ -174,35 +170,35 @@ def classify_triple(t: InterpolationTriple) -> Classification:
                 detail=f"derivative orders {ks[0]} > {ks[1]} > {ks[2]}",
             )
         if t.right < 0 and not _is_boundary(t.right, n):
-            p1s = (_p1(t.left, n), _p1(t.mid, n), _p1(t.right, n))
-            if p1s[0] == p1s[1] == p1s[2]:
+            left, mid, right = _sig(t.left, n), _sig(t.mid, n), _sig(t.right, n)
+            if left.p1 == mid.p1 == right.p1:
                 return Classification(
-                    InterpCase.HOLDER_SAME, eta, 1.0, detail=f"signature level {p1s[0]}"
+                    InterpCase.HOLDER_SAME, eta, 1.0, detail=f"signature level {left.p1}"
                 )
-            if p1s[1] == p1s[2] and p1s[0] == p1s[1] + 1 and _p2(t.mid, n) == 1:
+            if mid.p1 == right.p1 and left.p1 == mid.p1 + 1 and mid.p2 == 1:
                 return Classification(
                     InterpCase.HOLDER_STEP,
                     eta,
-                    holder_step_constant(_p2(t.left, n), eta),
+                    holder_step_constant(left.p2, eta),
                     detail=f"boundary at {t.mid}",
                 )
-            return _classify_composite(t)
+            return _classify_composite(t, eta)
         # right sits on a boundary (or at 0): trade whole derivatives so the
         # right norm becomes a sup, then reuse the same/step shapes.
         shift = int(-n * t.right)
-        sl = t.left + Fraction(shift, n)
         sm = t.mid + Fraction(shift, n)
-        if _p1(sl, n) == _p1(sm, n) == 0:
+        left, mid = _sig(t.left + Fraction(shift, n), n), _sig(sm, n)
+        if left.p1 == mid.p1 == 0:
             return Classification(
                 InterpCase.HOLDER_SAME_BRIDGED, eta, None, shift=shift,
                 detail=f"derivative shift {shift}, sup right endpoint",
             )
-        if _p1(sl, n) == 1 and _p1(sm, n) == 0 and _p2(sm, n) == 1:
+        if left.p1 == 1 and mid.p1 == 0 and mid.p2 == 1:
             return Classification(
                 InterpCase.HOLDER_STEP_BRIDGED, eta, None, shift=shift,
                 detail=f"derivative shift {shift}, boundary at {sm}",
             )
-        return _classify_composite(t)
+        return _classify_composite(t, eta)
 
     # crossing: left < 0 < right
     if t.mid == 0 and t.left >= Fraction(-1, n):
@@ -210,7 +206,7 @@ def classify_triple(t: InterpolationTriple) -> Classification:
             InterpCase.MIXED, eta, None,
             detail="sup norm between a Holder seminorm and a Lebesgue norm",
         )
-    return _classify_composite(t)
+    return _classify_composite(t, eta)
 
 
 def composite_nodes(t: InterpolationTriple) -> tuple[Fraction, ...]:
@@ -224,7 +220,7 @@ def composite_nodes(t: InterpolationTriple) -> tuple[Fraction, ...]:
     return tuple(sorted(nodes))
 
 
-def _classify_composite(t: InterpolationTriple) -> Classification:
+def _classify_composite(t: InterpolationTriple, eta: Fraction) -> Classification:
     nodes = composite_nodes(t)
     pieces = []
     for scales in zip(nodes, nodes[1:], nodes[2:]):
@@ -235,10 +231,10 @@ def _classify_composite(t: InterpolationTriple) -> Classification:
         pieces.append(c.case.value)
     # Sanity: eliminating the interior nodes must land on the original weight.
     final = _eliminate_to_triple(nodes, t.mid)
-    if final != t.eta:
-        raise AssertionError(f"reiteration weight mismatch: {final} != {t.eta}")
+    if final != eta:
+        raise AssertionError(f"reiteration weight mismatch: {final} != {eta}")
     return Classification(
-        InterpCase.COMPOSITE, t.eta, None, detail="+".join(pieces), nodes=nodes
+        InterpCase.COMPOSITE, eta, None, detail="+".join(pieces), nodes=nodes
     )
 
 

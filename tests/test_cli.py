@@ -257,6 +257,21 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "unsupported header" in err
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("exp=2/3;1/3", "exp=2/0;1/3", "denominator of '2/0' must be positive"),
+            ("instance n=1", "instance n=0", "invalid instance: dimension n=0"),
+        ],
+        ids=["zero-denominator", "zero-dimension"],
+    )
+    def test_malformed_certificate_exits_two(self, tmp_path, old, new, message):
+        cert = self.certificate(tmp_path)
+        cert.write_text(cert.read_text().replace(old, new))
+        code, out, err = run(["verify", str(cert)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
     def test_unreadable_file_exits_two(self, tmp_path):
         code, out, err = run(["verify", str(tmp_path / "missing.cert")])
         assert (code, out) == (2, "")

@@ -346,6 +346,15 @@ class TestCertificates:
             assert format_certificate(again) == text
             assert again.instance == chain.instance
 
+    def test_embedding_to_order_zero_round_trips(self):
+        # sobolev_chain instances (theta = 1) may end at order 0.
+        for chain in (sobolev_chain(1, 3, 0, F(-1, 2)), sobolev_chain(3, 2, 0, F(1))):
+            assert chain.instance.l == 0
+            assert parse_certificate(format_certificate(chain)) == chain
+        text = format_certificate(sobolev_chain(1, 3, 0, F(-1, 2)))
+        with pytest.raises(BadCertificate, match="orders must satisfy 1 <= l < k"):
+            parse_certificate(text.replace("theta=1", "theta=1/2"))
+
     def test_determinism_across_runs(self):
         a = format_certificate(derive_chain(GOLDEN_INSTANCE))
         b = format_certificate(derive_chain(GOLDEN_INSTANCE))
@@ -367,11 +376,35 @@ class TestCertificates:
             lambda t: t.replace("n=3", "n=x"),
             lambda t: "\n".join(t.splitlines()[1:]),
             lambda t: t.replace("out=1,1/6", "out=1,1/7", 1),
+            lambda t: t.replace("exp=1/2;1/2", "exp=1/0;1/2"),
+            lambda t: t.replace("sp=1/2", "sp=3/0"),
+            lambda t: t.replace("instance n=3", "instance n=0 n=3"),
+            lambda t: t.replace("instance n=3", "instance n=2 n=0"),
         ],
     )
     def test_mangled_certificates_rejected(self, mangle):
         with pytest.raises((BadCertificate, BrokenChain)):
             parse_certificate(mangle(GOLDEN_CERT))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("exp=1/2;1/2", "exp=1/0;1/2", "denominator of '1/0' must be positive"),
+            ("sp=1/2", "sp=3/0", "denominator of '3/0' must be positive"),
+            ("exp=1/2;1/2", "exp=0.5;1/2", "invalid literal for int"),
+            ("instance n=3", "instance n=0 n=3", "duplicate key"),
+            ("out=1,1/6 exp=1", "out=1,1/6 out=1,1/6 exp=1", "duplicate key"),
+            ("n=3", "n=0", "invalid instance: dimension n=0 must be >= 1"),
+            ("sq=1/12", "sq=1/11", "invalid instance: sq - l/n = -8/33 but"),
+            ("theta=1/2", "theta=1/3", "invalid instance: .*theta=1/3 outside \\[1/2, 1\\]"),
+        ],
+        ids=["zero-denominator", "zero-denominator-index", "decimal", "duplicate-instance-key",
+             "duplicate-step-key", "zero-dimension", "unbalanced", "theta-window"],
+    )
+    def test_malformed_fields_are_bad_certificates(self, old, new, message):
+        # Not broken chains: the text does not describe a valid instance or step.
+        with pytest.raises(BadCertificate, match=message):
+            parse_certificate(GOLDEN_CERT.replace(old, new, 1))
 
 
 class TestNumericWalk:
