@@ -19,8 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     BadCertificate,
+    BadParams,
     BorderlineIndex,
     BrokenChain,
     InternalBorderline,
@@ -258,20 +261,16 @@ def _ascent_step(n: int, order: int, s: Fraction) -> Step:
 
 
 def _interp_step(
-    n: int, order: int, lo: Fraction, mid: Fraction, hi: Fraction
+    n: int, order: int, a: Fraction, mid: Fraction, b: Fraction, rule: str = RULE_INTERP, context: str = ""
 ) -> Step:
-    """Interpolate the middle norm between two outer norms at one order."""
-    triple = InterpolationTriple(n, lo, mid, hi)
-    cls = classify_triple(triple)
-    eta = cls.eta
-    return Step(
-        RULE_INTERP,
-        (Slot(order, lo), Slot(order, hi)),
-        Slot(order, mid),
-        (eta, 1 - eta),
-        cls.bound,
-        note=cls.case.value,
-    )
+    """Interpolate N(order, mid) between N(order, a) and N(order, b), inputs
+    kept in the order given; the weights and constant are the classified
+    triple's.  The note is the case, after ``context`` when there is one."""
+    lo, hi = sorted((a, b))
+    cls = classify_triple(InterpolationTriple(n, lo, mid, hi))
+    eta = cls.eta if a == lo else 1 - cls.eta
+    note = f"{context} ({cls.case.value})" if context else cls.case.value
+    return Step(rule, (Slot(order, a), Slot(order, b)), Slot(order, mid), (eta, 1 - eta), cls.bound, note)
 
 
 # --- sharp embedding leg ------------------------------------------------------
@@ -454,13 +453,12 @@ def derive_chain(inst: InequalityInstance) -> ProofChain:
     if problems:
         raise InvalidInstance("; ".join(v.message for v in problems))
     n, k, l = inst.n, inst.k, inst.l
-    lk = Fraction(l, k)
 
     steps: tuple[Step, ...] = ()
     if inst.theta != 1:
         steps = _build_steps(n, l, k, inst.sp, inst.sr)
         sq2 = steps[-1].output.scale
-    if inst.theta != lk:
+    if inst.theta != Fraction(l, k):
         try:
             descent = _descent_steps(n, k, l, inst.sp)
         except BorderlineIndex as exc:
@@ -468,19 +466,8 @@ def derive_chain(inst: InequalityInstance) -> ProofChain:
         sq1 = descent[-1].output.scale
         steps = descent + steps
         if inst.theta != 1 and sq1 != sq2:
-            eta = (inst.theta - lk) / (1 - lk)
-            lo, hi = sorted((sq1, sq2))
-            cls = classify_triple(InterpolationTriple(n, lo, inst.sq, hi))
-            steps += (
-                Step(
-                    RULE_ENDPOINT,
-                    (Slot(l, sq1), Slot(l, sq2)),
-                    Slot(l, inst.sq),
-                    (eta, 1 - eta),
-                    cls.bound,
-                    note=f"between embedding and convexity targets ({cls.case.value})",
-                ),
-            )
+            context = "between embedding and convexity targets"
+            steps += (_interp_step(n, l, sq1, inst.sq, sq2, RULE_ENDPOINT, context),)
 
     chain = ProofChain(instance=inst, steps=steps)
     verify_chain(chain)
@@ -598,12 +585,20 @@ def dilation_sweep(
 
 
 def dilation_slope(sweep: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of log(ratio) against log(lambda)."""
-    import numpy as np
+    """Least-squares slope of log(ratio) against log(lambda).
 
-    lams = np.log([pt[0] for pt in sweep])
-    vals = np.log([pt[1] for pt in sweep])
-    return float(np.polyfit(lams, vals, 1)[0])
+    Raises BadParams unless every lambda and every ratio is finite and
+    positive and at least two lambdas are distinct.
+    """
+    lams = [float(lam) for lam, _ in sweep]
+    ratios = [float(r) for _, r in sweep]
+    if not all(math.isfinite(x) and x > 0 for x in lams) or len(set(lams)) < 2:
+        raise BadParams(f"a slope needs at least two distinct finite positive lambdas, got {lams}")
+    bad = [(lam, r) for lam, r in zip(lams, ratios) if not (math.isfinite(r) and r > 0)]
+    if bad:
+        lam, r = bad[0]
+        raise BadParams(f"ratio {r} at lambda {lam} has no logarithm: ratios must be finite and positive")
+    return float(np.polyfit(np.log(lams), np.log(ratios), 1)[0])
 
 
 # --- certificates -------------------------------------------------------------
@@ -677,7 +672,10 @@ def parse_certificate(text: str) -> ProofChain:
         magic, version = lines[0].split()
         if magic != "gninterp-certificate" or int(version) != CERTIFICATE_VERSION:
             raise BadCertificate(f"unsupported header {lines[0]!r}")
-        fields = _key_values(lines[1].split()[1:])
+        keyword, *tokens = lines[1].split()
+        if keyword != "instance":
+            raise BadCertificate(f"expected an instance line, got {lines[1]!r}")
+        fields = _key_values(tokens)
         inst = InequalityInstance(
             n=int(fields["n"]),
             k=int(fields["k"]),
@@ -690,9 +688,12 @@ def parse_certificate(text: str) -> ProofChain:
         problems = structural_violations(inst, min_order=0 if inst.theta == 1 else 1)
         if problems:
             raise BadCertificate("invalid instance: " + "; ".join(v.message for v in problems))
-        count = int(lines[2].split()[1])
+        keyword, count_text = lines[2].split()
+        if keyword != "steps":
+            raise BadCertificate(f"expected a steps line, got {lines[2]!r}")
+        count = int(count_text)
         steps = []
-        for ln in lines[3 : 3 + count]:
+        for ln in lines[3:]:
             body, _, note = ln.partition(" note=")
             toks = body.split()
             if toks[0] != "step":

@@ -225,10 +225,11 @@ def structural_violations(inst: InequalityInstance, min_order: int = 1) -> list[
 
     The target order must satisfy ``min_order <= l < k``; an embedding
     (theta = 1, as :func:`~gninterp.derivation.sobolev_chain` builds) may
-    descend to order 0 and is checked with ``min_order=0``.  The balance is only defined for n >= 1 and the theta window [l/k, 1]
-    for k != 0, so each is checked only then; a bad n or k is already a
-    range violation.  Every check compares numerators and denominators by
-    cross-multiplication; Fractions are built only for messages.
+    descend to order 0 and is checked with ``min_order=0``.  The balance is
+    only defined for n >= 1 and the theta window [l/k, 1] for k != 0, so
+    each is checked only then; a bad n or k is already a range violation.
+    Every check compares numerators and denominators by cross-multiplication;
+    Fractions are built only for messages.
     """
     out = []
     n, k, l = inst.n, inst.k, inst.l

@@ -16,9 +16,11 @@ Case taxonomy (precedence order):
   separating the outer levels; explicit constant ``(1+1/p2_left)^(1-eta)``.
 * ``ck_step``: all scales are negative integer multiples of 1/n; classical
   derivative interpolation, with the factor-2 bound for one-step triples.
-* ``*_bridged``: the right scale is a boundary; after trading whole
-  derivatives the triple becomes same/step-shaped against a sup norm, which
-  costs the quantitative constant (bound None).
+* ``*_bridged``: the right scale is a boundary (or 0), ``shift = -n*right``
+  whole derivatives from the sup.  Trading them lowers ``p1`` by the shift
+  and keeps ``p2``, so the triple is same-shaped when both ``p1`` equal the
+  shift and step-shaped when ``p1`` is shift+1 left and shift in the middle,
+  against a sup norm; that costs the quantitative constant (bound None).
 * ``mixed``: the middle scale is exactly 0 with the left scale in [-1/n, 0);
   a ball-averaging argument gives an analytic constant, exposed separately.
 * ``composite``: everything else; the span is cut at every signature boundary
@@ -43,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BadParams, IntegralDiverges, NotInterpolable
-from .indices import HolderSignature, Rational, SpaceIndex, as_rational, holder_signature
+from .indices import Rational, SpaceIndex, as_rational, holder_signature
 from .norms import GridSpec, NormValue, sup_norm, xnorm
 from .testfn import TestFunction
 
@@ -123,17 +125,6 @@ class Classification:
     eta: Fraction
     bound: Optional[float]
     shift: int = 0
-    detail: str = ""
-    nodes: tuple[Fraction, ...] = ()
-
-
-def _sig(s: Fraction, n: int) -> HolderSignature:
-    return holder_signature(SpaceIndex(s, n))
-
-
-def _is_boundary(s: Fraction, n: int) -> bool:
-    """True when n*s is a negative integer (the scale sits on a signature edge)."""
-    return s < 0 and (n * s).denominator == 1
 
 
 def holder_step_constant(p2_left: Fraction | float, eta: Fraction | float) -> float:
@@ -149,63 +140,45 @@ def classify_triple(t: InterpolationTriple) -> Classification:
 
     Bounds returned here apply to seminorm-mode norms for the Holder cases
     and to full norms in the Lebesgue case; cases without a quantitative
-    constant return ``bound=None``.
+    constant return ``bound=None``.  Every negative-range case is read from
+    the signatures of the three scales, each computed once: a scale is a
+    signature boundary exactly when its ``p2`` is 1.
     """
     n, eta = t.n, t.eta
 
     if t.left >= 0:
-        return Classification(InterpCase.LEBESGUE, eta, 1.0, detail="log-convex in 1/p")
+        return Classification(InterpCase.LEBESGUE, eta, 1.0)
 
     if t.right <= 0:
-        integral = all(_is_boundary(s, n) or s == 0 for s in (t.left, t.mid, t.right))
-        if integral:
-            ks = tuple(int(-n * s) for s in (t.left, t.mid, t.right))
-            one_step = ks[0] - ks[1] == 1 and ks[1] - ks[2] == 1
+        left, mid = holder_signature(SpaceIndex(t.left, n)), holder_signature(SpaceIndex(t.mid, n))
+        shift = 0  # whole derivatives -n*right when right is a boundary or 0
+        if t.right < 0:
+            right = holder_signature(SpaceIndex(t.right, n))
+            if right.p2 != 1:
+                if left.p1 == mid.p1 == right.p1:
+                    return Classification(InterpCase.HOLDER_SAME, eta, 1.0)
+                if mid.p1 == right.p1 and left.p1 == mid.p1 + 1 and mid.p2 == 1:
+                    return Classification(InterpCase.HOLDER_STEP, eta, holder_step_constant(left.p2, eta))
+                return _classify_composite(t, eta)
+            shift = right.p1 + 1
+        if left.p2 == mid.p2 == 1:
+            # Whole-derivative sups of orders left.p1+1 > mid.p1+1 > shift.
             # One-step bound via second differences along a coordinate line:
             # |D^j| <= 2 sqrt(|D^(j-1)| * |D^(j+1)|) pointwise in the sups.
-            return Classification(
-                InterpCase.CK_STEP,
-                eta,
-                2.0 if one_step else None,
-                detail=f"derivative orders {ks[0]} > {ks[1]} > {ks[2]}",
-            )
-        if t.right < 0 and not _is_boundary(t.right, n):
-            left, mid, right = _sig(t.left, n), _sig(t.mid, n), _sig(t.right, n)
-            if left.p1 == mid.p1 == right.p1:
-                return Classification(
-                    InterpCase.HOLDER_SAME, eta, 1.0, detail=f"signature level {left.p1}"
-                )
-            if mid.p1 == right.p1 and left.p1 == mid.p1 + 1 and mid.p2 == 1:
-                return Classification(
-                    InterpCase.HOLDER_STEP,
-                    eta,
-                    holder_step_constant(left.p2, eta),
-                    detail=f"boundary at {t.mid}",
-                )
-            return _classify_composite(t, eta)
-        # right sits on a boundary (or at 0): trade whole derivatives so the
-        # right norm becomes a sup, then reuse the same/step shapes.
-        shift = int(-n * t.right)
-        sm = t.mid + Fraction(shift, n)
-        left, mid = _sig(t.left + Fraction(shift, n), n), _sig(sm, n)
-        if left.p1 == mid.p1 == 0:
-            return Classification(
-                InterpCase.HOLDER_SAME_BRIDGED, eta, None, shift=shift,
-                detail=f"derivative shift {shift}, sup right endpoint",
-            )
-        if left.p1 == 1 and mid.p1 == 0 and mid.p2 == 1:
-            return Classification(
-                InterpCase.HOLDER_STEP_BRIDGED, eta, None, shift=shift,
-                detail=f"derivative shift {shift}, boundary at {sm}",
-            )
+            one_step = left.p1 == mid.p1 + 1 and mid.p1 == shift
+            return Classification(InterpCase.CK_STEP, eta, 2.0 if one_step else None)
+        # Trading `shift` whole derivatives makes the right norm a sup; it
+        # lowers each p1 by the shift and keeps p2, so the same/step shapes
+        # are read off p1 - shift.
+        if left.p1 == mid.p1 == shift:
+            return Classification(InterpCase.HOLDER_SAME_BRIDGED, eta, None, shift)
+        if left.p1 == shift + 1 and mid.p1 == shift and mid.p2 == 1:
+            return Classification(InterpCase.HOLDER_STEP_BRIDGED, eta, None, shift)
         return _classify_composite(t, eta)
 
     # crossing: left < 0 < right
     if t.mid == 0 and t.left >= Fraction(-1, n):
-        return Classification(
-            InterpCase.MIXED, eta, None,
-            detail="sup norm between a Holder seminorm and a Lebesgue norm",
-        )
+        return Classification(InterpCase.MIXED, eta, None)
     return _classify_composite(t, eta)
 
 
@@ -222,20 +195,18 @@ def composite_nodes(t: InterpolationTriple) -> tuple[Fraction, ...]:
 
 def _classify_composite(t: InterpolationTriple, eta: Fraction) -> Classification:
     nodes = composite_nodes(t)
-    pieces = []
+    etas = []
     for scales in zip(nodes, nodes[1:], nodes[2:]):
         sub = InterpolationTriple(t.n, *scales)
         c = classify_triple(sub)
         if c.case is InterpCase.COMPOSITE:
             raise AssertionError(f"composite piece failed to reduce: {sub}")
-        pieces.append(c.case.value)
+        etas.append(c.eta)
     # Sanity: eliminating the interior nodes must land on the original weight.
-    final = _eliminate_to_triple(nodes, t.mid)
+    final = _eliminate_to_triple(etas, nodes.index(t.mid) - 1)
     if final != eta:
         raise AssertionError(f"reiteration weight mismatch: {final} != {eta}")
-    return Classification(
-        InterpCase.COMPOSITE, eta, None, detail="+".join(pieces), nodes=nodes
-    )
+    return Classification(InterpCase.COMPOSITE, eta, None)
 
 
 # -- reiteration --------------------------------------------------------------
@@ -267,12 +238,12 @@ def reiteration_constants(c1: float, c2: float, eta1: Rational, eta2: Rational) 
     return (c1 * c2 ** (1.0 - e1)) ** (1.0 / d), (c2 * c1**e2) ** (1.0 / d)
 
 
-def _eliminate_to_triple(nodes: Sequence[Fraction], mid: Fraction) -> Fraction:
-    """Chain the adjacent-triple facts down to (left, mid, right); return the
-    final weight of the left endpoint. Elimination is exact in rationals."""
-    # etas[i] places nodes[i + 1] between its two neighbours.
-    etas = [(c - b) / (c - a) for a, b, c in zip(nodes, nodes[1:], nodes[2:])]
-    m = nodes.index(mid) - 1
+def _eliminate_to_triple(etas: Sequence[Fraction], m: int) -> Fraction:
+    """Chain adjacent-triple facts down to one triple and return the final
+    weight of its left endpoint.  ``etas[i]`` places node ``i + 1`` between
+    its two neighbours, and ``etas[m]`` is the fact about the middle node.
+    Elimination is exact in rationals."""
+    etas = list(etas)
     # Left of mid, leftmost first: fold each fact into its right neighbour's.
     for i in range(m):
         etas[i + 1] = reiteration_second(etas[i], etas[i + 1])
@@ -316,7 +287,7 @@ def mixed_case_constant(n: int, left: Rational, right: Rational) -> float:
         raise IntegralDiverges(f"scales out of the mixed-case range: {left}, {right}")
     lam2 = float(-n * left)
     p = 1.0 / float(right)
-    eta = right / (right - left)  # weight solving 0 = eta*left + (1-eta)*right
+    eta = InterpolationTriple(n, left, 0, right).eta
     m = mixed_case_integral(n, lam2, p)
     expo = -float(right * (1 - eta))
     return (n * unit_ball_volume(n) * m) ** expo

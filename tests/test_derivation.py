@@ -406,6 +406,22 @@ class TestCertificates:
         with pytest.raises(BadCertificate, match=message):
             parse_certificate(GOLDEN_CERT.replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (GOLDEN_CERT + "hello world\n", "expected a step line, got 'hello world'"),
+            (GOLDEN_CERT + GOLDEN_CERT.splitlines()[-1] + "\n", "header promises 4 steps, found 5"),
+            (GOLDEN_CERT.replace("instance n=3", "garbage n=3"), "expected an instance line"),
+            (GOLDEN_CERT.replace("steps 4", "stops 4"), "expected a steps line"),
+            (GOLDEN_CERT.replace("steps 4", "steps 4 more"), "malformed certificate: too many values"),
+        ],
+        ids=["trailing-text", "trailing-step", "instance-keyword", "steps-keyword", "steps-tokens"],
+    )
+    def test_lines_outside_the_layout_are_bad_certificates(self, text, message):
+        assert parse_certificate(GOLDEN_CERT).steps  # the unmangled text verifies
+        with pytest.raises(BadCertificate, match=message):
+            parse_certificate(text)
+
 
 class TestNumericWalk:
     def test_identity_steps_measure_one(self):
@@ -493,3 +509,21 @@ class TestDilation:
         points = dilation_sweep(inst, bump(1), [0.5, 1.0, 2.0], sq_shift=shift)
         slope = dilation_slope(points)
         assert slope == pytest.approx(-float(inst.n * shift), rel=5e-2)
+
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            ([], "two distinct finite positive lambdas, got \\[\\]"),
+            ([(1.0, 2.0)], "two distinct finite positive lambdas"),
+            ([(1.0, 2.0), (1.0, 3.0)], "two distinct finite positive lambdas"),
+            ([(0.0, 2.0), (1.0, 3.0)], "two distinct finite positive lambdas"),
+            ([(0.5, 2.0), (math.inf, 3.0)], "two distinct finite positive lambdas"),
+            ([(0.5, 0.0), (1.0, 3.0)], "ratio 0.0 at lambda 0.5 has no logarithm"),
+            ([(0.5, 2.0), (1.0, math.inf)], "ratio inf at lambda 1.0 has no logarithm"),
+            ([(0.5, 2.0), (1.0, math.nan)], "ratio nan at lambda 1.0 has no logarithm"),
+        ],
+    )
+    def test_slope_rejects_sweeps_without_one(self, sweep, message, capfd):
+        with pytest.raises(BadParams, match=message):
+            dilation_slope(sweep)
+        assert capfd.readouterr() == ("", "")  # nothing reaches LAPACK's stderr

@@ -1,5 +1,7 @@
 """Three-point interpolation: classification, constants, measured bounds."""
 
+import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -116,7 +118,7 @@ class TestClassification:
         t = InterpolationTriple(1, F(-5, 2), F(-1, 2), F(1, 2))
         c = classify_triple(t)
         assert c.case is InterpCase.COMPOSITE
-        assert c.nodes == (F(-5, 2), F(-2), F(-1), F(-1, 2), F(0), F(1, 2))
+        assert composite_nodes(t) == (F(-5, 2), F(-2), F(-1), F(-1, 2), F(0), F(1, 2))
         assert c.eta == t.eta
 
     def test_composite_nodes_insert_boundaries(self):
@@ -129,8 +131,23 @@ class TestClassification:
         assert nodes == (
             F(-7, 4), F(-5, 3), F(-4, 3), F(-7, 6), F(-1), F(-2, 3), F(-1, 3), F(0), F(1, 2)
         )
-        assert _eliminate_to_triple(nodes, t.mid) == t.eta == F(20, 27)
+        pieces = [classify_triple(InterpolationTriple(3, *abc)) for abc in zip(nodes, nodes[1:], nodes[2:])]
+        etas = [c.eta for c in pieces]
+        assert etas == [(c - b) / (c - a) for a, b, c in zip(nodes, nodes[1:], nodes[2:])]
+        assert InterpCase.COMPOSITE not in {c.case for c in pieces}
+        assert _eliminate_to_triple(etas, nodes.index(t.mid) - 1) == t.eta == F(20, 27)
         assert classify_triple(t).case is InterpCase.COMPOSITE
+
+    def test_window_digest_is_frozen(self):
+        # (case, eta, bound, shift) of every ordered triple of scales with
+        # denominator <= 4 in [-2, 1], for n = 1..3: 2,907 triples.
+        scales = sorted({F(a, d) for d in range(1, 5) for a in range(-2 * d, d + 1)})
+        h = hashlib.sha256()
+        for n in (1, 2, 3):
+            for left, mid, right in itertools.combinations(scales, 3):
+                c = classify_triple(InterpolationTriple(n, left, mid, right))
+                h.update(repr((n, left, mid, right, c.case.value, c.eta, c.bound, c.shift)).encode())
+        assert h.hexdigest() == "82ca14183addbc367ba3dbf72a3a88c2cb7d975a02bce34aa0719f274244795a"
 
 
 class TestReiteration:
