@@ -34,7 +34,6 @@ from .derivation import (
 from .errors import BrokenChain, GNInterpError, InternalBorderline
 from .indices import (
     InequalityInstance,
-    SpaceIndex,
     as_rational,
     format_index,
     solve_missing,
@@ -130,13 +129,23 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _complete_indices(n: int, k: int, l: int, **given) -> tuple[dict, tuple]:
-    """:func:`solve_missing`, then unconstrained indices left open take ``sq``."""
-    values, unconstrained = solve_missing(n, k, l, **given)
+def _instance(
+    n: int, k: int, l: int, p: Optional[str], q: Optional[str], r: Optional[str], theta: Optional[str]
+) -> tuple[InequalityInstance, list[str]]:
+    """The instance with these exponents and weight (None when missing), the
+    rest solved by :func:`solve_missing`; unconstrained indices left open
+    take ``sq``. Returns the instance and the unconstrained names."""
+    values, unconstrained = solve_missing(
+        n, k, l,
+        sp=None if p is None else _index_scale(p),
+        sq=None if q is None else _index_scale(q),
+        sr=None if r is None else _index_scale(r),
+        theta=None if theta is None else as_rational(theta),
+    )
     for name in unconstrained:
         if values[name] is None:
             values[name] = values["sq"]
-    return values, unconstrained
+    return InequalityInstance(n=n, k=k, l=l, **values), unconstrained
 
 
 def parse_instance(text: str) -> InequalityInstance:
@@ -161,24 +170,17 @@ def parse_instance(text: str) -> InequalityInstance:
         n, k, l = int(fields["n"]), int(fields["k"]), int(fields["l"])
     except KeyError as exc:
         raise ValueError(f"instance needs n, k and l (missing {exc})") from exc
-    sp = _index_scale(fields["p"]) if "p" in fields else None
-    sq = _index_scale(fields["q"]) if "q" in fields else None
-    sr = _index_scale(fields["r"]) if "r" in fields else None
-    theta = as_rational(fields["theta"]) if "theta" in fields else None
-    values, _ = _complete_indices(n, k, l, sp=sp, sq=sq, sr=sr, theta=theta)
-    return InequalityInstance(
-        n=n, k=k, l=l, sp=values["sp"], sq=values["sq"], sr=values["sr"], theta=values["theta"]
-    )
+    return _instance(n, k, l, *(fields.get(key) for key in ("p", "q", "r", "theta")))[0]
 
 
-def _grid(fn, kind: str, points: Optional[int]) -> Optional[GridSpec]:
-    """``fn``'s default grid of this kind with ``points`` per axis; None when unset."""
-    if points is None:
-        return None
-    return replace(default_grid(fn, kind=kind), points_per_axis=points)
+def _grid(fn, kind: str, points: Optional[int]) -> GridSpec:
+    """The grid of this kind on ``fn``'s own box: the default, with ``points``
+    per axis when set. Pass it the function that is measured on it."""
+    grid = default_grid(fn, kind=kind)
+    return grid if points is None else replace(grid, points_per_axis=points)
 
 
-def _grids(fn, cfg: RunConfig) -> tuple[Optional[GridSpec], Optional[GridSpec]]:
+def _grids(fn, cfg: RunConfig) -> tuple[GridSpec, GridSpec]:
     return _grid(fn, "lp", cfg.points), _grid(fn, "pair", cfg.pair_points)
 
 
@@ -192,14 +194,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence], out: Optional[str]) -> None:
+def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [f"# gninterp {__version__} seed={cfg.seed} config={cfg.source}"]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_format_cell(v) for v in row))
     text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
+    if cfg.out:
+        Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -208,26 +210,17 @@ def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence], out:
 
 
 def _cmd_params(args: argparse.Namespace, cfg: RunConfig) -> int:
-    given = {
-        "sp": _index_scale(args.p) if args.p else None,
-        "sq": _index_scale(args.q) if args.q else None,
-        "sr": _index_scale(args.r) if args.r else None,
-        "theta": as_rational(args.theta) if args.theta else None,
-    }
-    if sum(v is not None for v in given.values()) < 2:
+    given = (args.p, args.q, args.r, args.theta)
+    if sum(v is not None for v in given) < 2:
         print("error: need at least two of --p --q --r --theta", file=sys.stderr)
         return 2
-    values, unconstrained = _complete_indices(args.n, args.k, args.l, **given)
+    inst, unconstrained = _instance(args.n, args.k, args.l, *given)
     print(f"n={args.n} k={args.k} l={args.l}")
     for flag, name in (("p", "sp"), ("q", "sq"), ("r", "sr")):
-        s = values[name]
+        s = getattr(inst, name)
         tag = " (unconstrained)" if name in unconstrained else ""
         print(f"{flag}={_exponent_str(s)} {format_index(s, args.n)}{tag}")
-    print(f"theta={values['theta']}")
-    inst = InequalityInstance(
-        n=args.n, k=args.k, l=args.l,
-        sp=values["sp"], sq=values["sq"], sr=values["sr"], theta=values["theta"],
-    )
+    print(f"theta={inst.theta}")
     report = validate_instance(inst)
     if report.ok:
         print("valid: yes")
@@ -247,7 +240,6 @@ def _cmd_norm(args: argparse.Namespace, cfg: RunConfig) -> int:
         cfg,
         ("fn", "n", "s", "order", "mode", "value", "error_estimate", "method"),
         [(args.fn, args.n, args.s, args.order, mode, nv.value, nv.error_estimate, nv.method)],
-        cfg.out,
     )
     return 0
 
@@ -271,7 +263,6 @@ def _cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
             "-" if rep.bound is None else rep.bound,
             "-" if rep.ok is None else rep.ok,
         )],
-        cfg.out,
     )
     return 1 if rep.ok is False else 0
 
@@ -279,11 +270,13 @@ def _cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     inst = parse_instance(args.instance)
     fn = parse_testfn(args.fn, inst.n)
-    lp_grid, pair_grid = _grids(fn, cfg)
-    points = dilation_sweep(inst, fn, args.lambdas, lp_grid=lp_grid, pair_grid=pair_grid)
-    rows = [(lam, ratio) for lam, ratio in points]
-    _emit(cfg, ("lambda", "ratio"), rows, cfg.out)
-    ratios = [r for _, r in points]
+    # One lambda per call, so each dilation is measured on its own box.
+    rows = []
+    for lam in args.lambdas:
+        lp_grid, pair_grid = _grids(fn.dilate(lam), cfg)
+        rows += dilation_sweep(inst, fn, [lam], lp_grid=lp_grid, pair_grid=pair_grid)
+    _emit(cfg, ("lambda", "ratio"), rows)
+    ratios = [r for _, r in rows]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
     return 1 if spread > 1 + cfg.tolerance_ratio else 0
 
@@ -317,7 +310,7 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     fn = parse_testfn(args.fn, args.n)
     if args.holder:
-        grid = _grid(fn, "pair", cfg.points) or default_grid(fn, kind="pair")
+        grid = _grid(fn, "pair", cfg.points)
         gamma = float(as_rational(args.p2))
         fast = holder_seminorm(fn, args.order, gamma, grid=grid, refinements=0)
         brute = brute_force_holder(fn, args.order, gamma, grid=grid)
@@ -326,7 +319,6 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
             cfg,
             ("mode", "points", "fast", "brute", "equal"),
             [("holder", grid.points_per_axis, fast.value, brute.value, equal)],
-            cfg.out,
         )
         return 0 if equal else 1
     grid = _grid(fn, "lp", 65 if cfg.points is None else cfg.points)
@@ -339,7 +331,6 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
         cfg,
         ("mode", "points", "fast", "brute", "difference", "budget", "agree"),
         [("lp", grid.points_per_axis, fast.value, brute.value, abs(fast.value - brute.value), budget, agree)],
-        cfg.out,
     )
     return 0 if agree else 1
 

@@ -379,11 +379,9 @@ def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Step, ...]
     if k == 2:
         return base_lemma_steps(n, sp, sr)
     sq = (sp + (k - 1) * sr) / Fraction(k)
-    ss = 2 * sq - sr
+    ss = 2 * sq - sr  # = (2sp + (k-2)sr)/k, where the (k-1)-leg from (sp, sq) ends
     base = base_lemma_steps(n, ss, sr)
     sub = _one_k_steps(n, k - 1, sp, sq)
-    if sub[-1].output.scale != ss:
-        raise BrokenChain(f"recurrence mismatch at k={k}: {sub[-1].output.scale} != {ss}")
     shifted = tuple(st.shifted(1) for st in sub)
     ca, cb = base[-1].constant, sub[-1].constant
     const = None if ca is None or cb is None else (ca * ca * cb) ** ((k - 1) / k)
@@ -403,17 +401,13 @@ def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Ste
     the last step outputs (l, sq)."""
     sq = (l * sp + (k - l) * sr) / Fraction(k)
     st = (sq + (l - 1) * sr) / Fraction(l)
+    # The legs meet by identity: sub_a ends at ((l-1)sp + (k-l)st)/(k-1) = sq, sub_b at st.
     sub_a = _build_steps(n, l - 1, k - 1, sp, st)
-    if sub_a[-1].output.scale != sq:
-        raise BrokenChain(f"gradient-claim mismatch at (l={l}, k={k}): {sub_a[-1].output.scale} != {sq}")
     sub_b = _build_steps(n, 1, l, sq, sr)
-    if sub_b[-1].output.scale != st:
-        raise BrokenChain(f"return-leg mismatch at (l={l}, k={k}): {sub_b[-1].output.scale} != {st}")
     ca, cb = sub_a[-1].constant, sub_b[-1].constant
     const = None
     if ca is not None and cb is not None:
-        const = (ca * cb ** (Fraction(k - l, k - 1))) ** (Fraction((k - 1) * l, k * (l - 1)))
-        const = float(const)
+        const = float((ca * cb ** Fraction(k - l, k - 1)) ** Fraction((k - 1) * l, k * (l - 1)))
     parent = Step(
         RULE_INDUCT_DIAG,
         (Slot(k, sp), Slot(0, sr)),
@@ -528,6 +522,11 @@ def evaluate_chain(
     verdict of :func:`gninterp.interp._verdict` fails.  Empirical steps are
     measured but never flagged.  A function whose dimension is not the
     instance's raises BadParams.
+
+    Known limitation: a ``ck_step`` interpolation step is measured here in
+    pair seminorms, while its factor-2 constant is stated for whole-derivative
+    sups, which :func:`gninterp.interp.check_interpolation` measures.  On
+    ``bump(1)`` the two readings differ by about 1e-5 relative.
     """
     inst = chain.instance
     _same_dimension(inst.n, fn)
@@ -572,6 +571,12 @@ def dilation_sweep(
     curve to slope -n * shift: a direct check that the balance is the only
     exponent relation the ratio tolerates.  A function whose dimension is
     not the instance's raises BadParams.
+
+    Explicit grids are used unchanged for every lambda, so they fit only the
+    dilation whose box they were built on.  A caller that wants each
+    dilation measured on its own box passes one lambda per call, with grids
+    built on ``fn.dilate(lam)``; ``gninterp sweep`` does so.  Without grids
+    every dilation gets its default grids.
     """
     _same_dimension(inst.n, fn)
     sq = inst.sq + as_rational(sq_shift)

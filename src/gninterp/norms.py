@@ -15,13 +15,13 @@ over all components of the given total order; sup parts of Holder norms take
 the max across orders. Seminorm parts sum the per-component pair sups.
 
 :func:`holder_seminorm` and its oracle :func:`brute_force_holder` scan pairs
-with separate routines that share only the float expression of one quotient.
-The fast scan walks lattice offsets of the uniform grid and prunes; the
-oracle sweeps every ordered pair in row-major chunks and uses nothing of the
-grid's structure. With refinement turned off the two agree bit for bit on
-the same grid, attaining pairs included, which the tests check rather than
-assume. All reductions run in a fixed order; repeated calls give identical
-floats.
+with separate routines that share one thing, :func:`_pair_denominators`: the
+separation mask and ``|x-y|^gamma`` from squared distances. The fast scan
+walks lattice offsets of the uniform grid and prunes; the oracle sweeps
+every ordered pair in row-major chunks and uses nothing of the grid's
+structure. With refinement turned off the two agree bit for bit on the same
+grid, attaining pairs included, which the tests check rather than assume.
+All reductions run in a fixed order; repeated calls give identical floats.
 """
 
 from __future__ import annotations
@@ -284,6 +284,14 @@ def sup_norm(
 # -- pairwise Holder scans ----------------------------------------------------
 
 
+def _pair_denominators(dist_sq: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The separation mask and ``|x-y|^gamma`` for squared distances, the
+    float expression both pair scans share."""
+    dist = np.sqrt(dist_sq)
+    ok = dist >= MIN_PAIR_SEPARATION
+    return ok, np.where(ok, dist, 1.0) ** gamma
+
+
 def _pair_scan(
     points: np.ndarray,
     comps: Mapping[Key, np.ndarray],
@@ -303,9 +311,7 @@ def _pair_scan(
     for start in range(0, n, _PAIR_CHUNK):
         block = points[start : start + _PAIR_CHUNK]
         diff = block[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        ok = dist >= MIN_PAIR_SEPARATION
-        denom = np.where(ok, dist, 1.0) ** gamma
+        ok, denom = _pair_denominators(np.sum(diff * diff, axis=-1), gamma)
         for k in keys:
             v = comps[k]
             num = np.abs(v[start : start + _PAIR_CHUNK, None] - v[None, :])
@@ -324,13 +330,6 @@ def _outer_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
     for part in parts[1:]:
         out = np.add.outer(out, part)
     return out
-
-
-def _pair_denominators(dist_sq: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The brute sweep's mask and ``|x-y|^gamma`` for squared distances."""
-    dist = np.sqrt(dist_sq)
-    ok = dist >= MIN_PAIR_SEPARATION
-    return ok, np.where(ok, dist, 1.0) ** gamma
 
 
 def _grid_pair_scan(
@@ -354,8 +353,8 @@ def _grid_pair_scan(
     starts from the quotient of the (argmax v, argmin v) pair.
 
     Surviving pairs get :func:`_pair_scan`'s float expression: per-axis
-    squared coordinate differences summed in axis order, ``sqrt``, the
-    separation mask, ``** gamma``, then ``|v(a) - v(b)| / denom``. Among tied
+    squared coordinate differences summed in axis order, then
+    :func:`_pair_denominators`, then ``|v(a) - v(b)| / denom``. Among tied
     pairs the one with the smallest first, then second, flat index wins: the
     pair the row-major brute sweep meets first. The returned sups and pairs
     therefore equal :func:`_pair_scan`'s on ``grid.mesh()``.

@@ -7,10 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from gninterp.cli import ENV_CONFIG, load_config, main
-from gninterp.derivation import parse_certificate
+from gninterp.cli import ENV_CONFIG, load_config, main, parse_instance
+from gninterp.derivation import dilation_sweep, parse_certificate
 from gninterp.norms import default_grid, xnorm
-from gninterp.testfn import bump
+from gninterp.testfn import bump, parse_testfn
 
 
 def run(argv):
@@ -161,6 +161,27 @@ class TestSweep:
         assert [r["lambda"] for r in rows] == ["0.5", "1.0", "2.0"]
         ratios = [float(r["ratio"]) for r in rows]
         assert max(ratios) / min(ratios) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("points,pair_points", [(257, None), (None, 129), (257, 129)])
+    def test_resolutions_apply_to_each_dilation(self, points, pair_points):
+        # Each lambda is measured on grids built on its own dilated function.
+        instance, lambdas = "n=1,k=2,l=1,p=2,r=-2,theta=3/4", [0.5, 1.0, 2.0]
+        argv = ["sweep", "--instance", instance, "--fn", "bump(R=1.0)", "--lambdas", "0.5,1,2"]
+        for flag, value in (("--points", points), ("--pair-points", pair_points)):
+            argv += [] if value is None else [flag, str(value)]
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        fn = parse_testfn("bump(R=1.0)", 1)
+        want = []
+        for lam in lambdas:
+            grids = {}
+            for kind, value in (("lp", points), ("pair", pair_points)):
+                grid = default_grid(fn.dilate(lam), kind)
+                grids[f"{kind}_grid"] = grid if value is None else replace(grid, points_per_axis=value)
+            want += dilation_sweep(parse_instance(instance), fn, [lam], **grids)
+        assert [(r["lambda"], r["ratio"]) for r in csv_rows(out)] == [
+            (repr(lam), repr(ratio)) for lam, ratio in want
+        ]
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_non_positive_tolerance_rejected(self, tol):
