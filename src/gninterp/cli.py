@@ -31,7 +31,7 @@ from .derivation import (
     format_certificate,
     parse_certificate,
 )
-from .errors import BrokenChain, GNInterpError, InternalBorderline
+from .errors import BadParams, BrokenChain, GNInterpError, InternalBorderline
 from .indices import (
     InequalityInstance,
     as_rational,
@@ -69,7 +69,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         # The flag and the config key both arrive through here.
         if not self.tolerance_ratio > 0:
-            raise ValueError(f"tolerance_ratio must be positive, got {self.tolerance_ratio}")
+            raise BadParams(f"tolerance_ratio must be positive, got {self.tolerance_ratio}")
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -84,11 +84,11 @@ def load_config(path: Optional[str]) -> RunConfig:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config entry {raw.strip()!r}")
+            raise BadParams(f"{path}:{lineno}: unknown config entry {raw.strip()!r}")
         try:
             cfg = replace(cfg, **{key: _CONFIG_KEYS[key](value)})
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise BadParams(f"{path}:{lineno}: {exc}") from exc
     return cfg
 
 
@@ -114,7 +114,7 @@ def _index_scale(text: str) -> Fraction:
         return Fraction(0)
     p = as_rational(text)
     if p == 0:
-        raise ValueError("exponent 0 has no index scale (use 'inf' for s=0)")
+        raise BadParams("exponent 0 has no index scale (use 'inf' for s=0)")
     return 1 / p
 
 
@@ -161,15 +161,15 @@ def parse_instance(text: str) -> InequalityInstance:
             continue
         key, sep, value = tok.partition("=")
         if not sep:
-            raise ValueError(f"instance entry {tok!r} is not key=value")
+            raise BadParams(f"instance entry {tok!r} is not key=value")
         fields[key.strip()] = value.strip()
     unknown = set(fields) - {"n", "k", "l", "p", "q", "r", "theta"}
     if unknown:
-        raise ValueError(f"unknown instance keys {sorted(unknown)}")
+        raise BadParams(f"unknown instance keys {sorted(unknown)}")
     try:
         n, k, l = int(fields["n"]), int(fields["k"]), int(fields["l"])
     except KeyError as exc:
-        raise ValueError(f"instance needs n, k and l (missing {exc})") from exc
+        raise BadParams(f"instance needs n, k and l (missing {exc})") from exc
     return _instance(n, k, l, *(fields.get(key) for key in ("p", "q", "r", "theta")))[0]
 
 
@@ -450,7 +450,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GNInterpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class Slot:
         if not isinstance(self.scale, Fraction):
             object.__setattr__(self, "scale", as_rational(self.scale))
         if self.order < 0:
-            raise ValueError(f"derivative order must be >= 0, got {self.order}")
+            raise BadParams(f"derivative order must be >= 0, got {self.order}")
 
     def shifted(self, offset: int) -> "Slot":
         return Slot(self.order + offset, self.scale)
@@ -253,8 +253,6 @@ def _ascent_step(n: int, order: int, s: Fraction) -> Step:
     constant is claimed there.
     """
     target = s + Fraction(1, n)
-    if target > 0:
-        raise InvalidBase(f"ascent from s={s} leaves the negative range in dimension {n}")
     const = 1.0 if target < 0 else None
     note = "" if const else "pair quotients on a mesh undershoot the derivative sup"
     return Step(RULE_IDENTITY, (Slot(order, s),), Slot(order + 1, target), (Fraction(1),), const, note)
@@ -572,13 +570,15 @@ def dilation_sweep(
     exponent relation the ratio tolerates.  A function whose dimension is
     not the instance's raises BadParams.
 
-    Explicit grids are used unchanged for every lambda, so they fit only the
-    dilation whose box they were built on.  A caller that wants each
-    dilation measured on its own box passes one lambda per call, with grids
-    built on ``fn.dilate(lam)``; ``gninterp sweep`` does so.  Without grids
-    every dilation gets its default grids.
+    A grid fits the box of the one dilation it was built on: with ``lp_grid``
+    or ``pair_grid`` set, ``lambdas`` must hold one value, with the grids
+    built on ``fn.dilate(lam)``, else BadParams.  Without grids every
+    dilation gets its default grids.
     """
     _same_dimension(inst.n, fn)
+    lambdas = list(lambdas)
+    if len(lambdas) > 1 and (lp_grid, pair_grid) != (None, None):
+        raise BadParams(f"a grid fits one dilation's box: pass one lambda per call, got {len(lambdas)} lambdas")
     sq = inst.sq + as_rational(sq_shift)
     kw = dict(mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
     out = []
@@ -621,13 +621,27 @@ def describe_step(step: Step) -> str:
     return line
 
 
+def _parse_rational(text: str) -> Fraction:
+    """An ``int`` or ``int/int`` token, as :func:`format_certificate` writes them."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        return Fraction(int(num))
+    d = int(den)
+    if d <= 0:
+        raise BadParams(f"denominator of {text!r} must be positive")
+    return Fraction(int(num), d)
+
+
+# The instance line's keys in written order, each with the reader of its value.
+_INSTANCE_FIELDS = {"n": int, "k": int, "l": int, **dict.fromkeys(("sp", "sq", "sr", "theta"), _parse_rational)}
+
+
 def format_certificate(chain: ProofChain) -> str:
     """Serialize a chain to the versioned line format, byte-deterministically."""
     inst = chain.instance
     lines = [
         f"gninterp-certificate {CERTIFICATE_VERSION}",
-        f"instance n={inst.n} k={inst.k} l={inst.l} sp={inst.sp} sq={inst.sq}"
-        f" sr={inst.sr} theta={inst.theta}",
+        "instance " + " ".join(f"{key}={getattr(inst, key)}" for key in _INSTANCE_FIELDS),
         f"steps {len(chain.steps)}",
     ]
     for step in chain.steps:
@@ -641,28 +655,21 @@ def format_certificate(chain: ProofChain) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_rational(text: str) -> Fraction:
-    """An ``int`` or ``int/int`` token, as :func:`format_certificate` writes them."""
-    num, slash, den = text.partition("/")
-    if not slash:
-        return Fraction(int(num))
-    d = int(den)
-    if d <= 0:
-        raise ValueError(f"denominator of {text!r} must be positive")
-    return Fraction(int(num), d)
-
-
 def _parse_slot(text: str) -> Slot:
     order, _, scale = text.partition(",")
     return Slot(int(order), _parse_rational(scale))
 
 
-def _key_values(tokens: list[str]) -> dict[str, str]:
-    """``key=value`` tokens as a dict; a key given twice is malformed."""
+def _key_values(tokens: list[str], keys: Collection[str]) -> dict[str, str]:
+    """``key=value`` tokens as a dict; a key given twice, or one the writer
+    never writes, is malformed.  The caller reads every key in ``keys``, so an
+    unknown one means too many keys here or a missing one (KeyError) there."""
     pairs = [tok.split("=", 1) for tok in tokens]
     fields = dict(pairs)
     if len(fields) != len(pairs):
         raise BadCertificate(f"duplicate key in {' '.join(tokens)!r}")
+    if len(fields) > len(keys):
+        raise BadCertificate(f"unknown keys {sorted(fields.keys() - keys)} in {' '.join(tokens)!r}")
     return fields
 
 
@@ -680,16 +687,8 @@ def parse_certificate(text: str) -> ProofChain:
         keyword, *tokens = lines[1].split()
         if keyword != "instance":
             raise BadCertificate(f"expected an instance line, got {lines[1]!r}")
-        fields = _key_values(tokens)
-        inst = InequalityInstance(
-            n=int(fields["n"]),
-            k=int(fields["k"]),
-            l=int(fields["l"]),
-            sp=_parse_rational(fields["sp"]),
-            sq=_parse_rational(fields["sq"]),
-            sr=_parse_rational(fields["sr"]),
-            theta=_parse_rational(fields["theta"]),
-        )
+        fields = _key_values(tokens, _INSTANCE_FIELDS)
+        inst = InequalityInstance(**{key: read(fields[key]) for key, read in _INSTANCE_FIELDS.items()})
         problems = structural_violations(inst, min_order=0 if inst.theta == 1 else 1)
         if problems:
             raise BadCertificate("invalid instance: " + "; ".join(v.message for v in problems))
@@ -704,7 +703,7 @@ def parse_certificate(text: str) -> ProofChain:
             if toks[0] != "step":
                 raise BadCertificate(f"expected a step line, got {ln!r}")
             rule = toks[1]
-            kv = _key_values(toks[2:])
+            kv = _key_values(toks[2:], ("in", "out", "exp", "constant"))
             const = None if kv["constant"] == "empirical" else float(kv["constant"])
             steps.append(
                 Step(

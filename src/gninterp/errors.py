@@ -51,8 +51,8 @@ class UnknownFamily(GNInterpError):
     """Test-function family name not in the grammar."""
 
 
-class BadParams(GNInterpError):
-    """Family or transform parameters violate their constraints."""
+class BadParams(GNInterpError, ValueError):
+    """A parameter of a function, grid, norm or scale violates its constraints."""
 
 
 class DslSyntaxError(GNInterpError):

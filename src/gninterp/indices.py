@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import (
+    BadParams,
     BorderlineIndex,
     DegenerateCondition,
     IndeterminateTheta,
@@ -66,7 +67,7 @@ class SpaceIndex:
         if not isinstance(self.s, Fraction):
             object.__setattr__(self, "s", as_rational(self.s))
         if self.n < 1:
-            raise ValueError(f"dimension must be positive, got n={self.n}")
+            raise BadParams(f"dimension must be positive, got n={self.n}")
         if self.s.numerator > self.s.denominator:  # s > 1
             raise ScaleOverflow(f"s={self.s} lies above the scale (p in (0,1) is excluded)")
 
@@ -95,9 +96,9 @@ class HolderSignature:
 
     def __post_init__(self) -> None:
         if self.p1 < 0:
-            raise ValueError(f"integer part must be >= 0, got {self.p1}")
+            raise BadParams(f"integer part must be >= 0, got {self.p1}")
         if not (0 < self.p2 <= 1):
-            raise ValueError(f"fractional part must lie in (0,1], got {self.p2}")
+            raise BadParams(f"fractional part must lie in (0,1], got {self.p2}")
 
 
 def holder_signature(idx: SpaceIndex) -> HolderSignature:

@@ -306,11 +306,11 @@ def split_sum_inequality(a: Sequence[float], b: Sequence[float], eta: float) -> 
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape:
-        raise ValueError("sequences must have equal length")
+        raise BadParams("sequences must have equal length")
     if np.any(av < 0) or np.any(bv < 0):
-        raise ValueError("sequences must be nonnegative")
+        raise BadParams("sequences must be nonnegative")
     if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        raise BadParams(f"eta must lie in [0, 1], got {eta}")
     lhs = float(np.sum(av**eta * bv ** (1.0 - eta)))
     rhs = float(np.sum(av)) ** eta * float(np.sum(bv)) ** (1.0 - eta)
     return lhs, rhs

@@ -35,7 +35,7 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, OracleTooLarge
+from .errors import BadParams, GridTooCoarse, OracleTooLarge
 from .indices import SpaceIndex, holder_signature
 from .testfn import Key, TestFunction, multi_indices_exact
 
@@ -84,13 +84,13 @@ class GridSpec:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
-            raise ValueError("lo and hi have different lengths")
+            raise BadParams("lo and hi have different lengths")
         if self.points_per_axis < 3:
-            raise ValueError("need at least 3 points per axis")
+            raise BadParams("need at least 3 points per axis")
         if not all(math.isfinite(a) and math.isfinite(b) for a, b in zip(self.lo, self.hi)):
-            raise ValueError(f"box bounds must be finite, got lo={self.lo} hi={self.hi}")
+            raise BadParams(f"box bounds must be finite, got lo={self.lo} hi={self.hi}")
         if any(b <= a for a, b in zip(self.lo, self.hi)):
-            raise ValueError(f"need hi > lo on every axis, got lo={self.lo} hi={self.hi}")
+            raise BadParams(f"need hi > lo on every axis, got lo={self.lo} hi={self.hi}")
 
     @property
     def ndim(self) -> int:
@@ -125,7 +125,7 @@ def default_grid(fn: TestFunction, kind: str = "lp") -> GridSpec:
     "pair" for the quadratic-cost Holder scans.
     """
     if kind not in ("lp", "pair"):
-        raise ValueError(f"grid kind must be 'lp' or 'pair', got {kind!r}")
+        raise BadParams(f"grid kind must be 'lp' or 'pair', got {kind!r}")
     table = DEFAULT_PAIR_POINTS if kind == "pair" else DEFAULT_LP_POINTS
     lo, hi = fn.bounding_box(_GRID_MARGIN)
     return GridSpec(tuple(lo), tuple(hi), table[fn.ndim])
@@ -152,13 +152,11 @@ def _max_component_field(fn: TestFunction, pts: np.ndarray, order: int) -> np.nd
 def _finite_exponent(p: float | Fraction) -> float:
     p = float(p)
     if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must satisfy 1 <= p < inf (use sup_norm for p = inf), got {p}")
+        raise BadParams(f"p must satisfy 1 <= p < inf (use sup_norm for p = inf), got {p}")
     return p
 
 
 def _simpson_weights(m: int, h: float) -> np.ndarray:
-    if m % 2 == 0:
-        raise ValueError("composite Simpson needs an odd point count")
     w = np.ones(m)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -184,11 +182,14 @@ def lp_norm(
     ``p`` must be finite with 1 <= p < inf; the L^inf norm is :func:`sup_norm`.
     Composite Simpson on the given grid and on its refinement; the pair is
     Richardson-extrapolated and their discrepancy becomes the error estimate.
-    A relative discrepancy above ``_COARSE_TOL`` raises GridTooCoarse.
+    A grid with an even point count raises BadParams before any evaluation;
+    a relative discrepancy above ``_COARSE_TOL`` raises GridTooCoarse.
     """
     p = _finite_exponent(p)
     if grid is None:
         grid = default_grid(fn, "lp")
+    if grid.points_per_axis % 2 == 0:
+        raise BadParams(f"composite Simpson needs an odd point count, got {grid.points_per_axis}")
     fine = grid.refined()
     field = _max_component_field(fn, fine.mesh(), order) ** p
     # The coarse grid's nodes are the fine grid's even-index nodes.
@@ -325,7 +326,9 @@ def _pair_scan(
 
 
 def _outer_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """``parts[0][:, None, ...] + parts[1][None, :, ...] + ...``, added in order."""
+    """``parts[0][:, None, ...] + parts[1][None, :, ...] + ...``, added in order; ``[0]`` for no parts."""
+    if not parts:
+        return np.zeros(1, dtype=np.intp)
     out = parts[0]
     for part in parts[1:]:
         out = np.add.outer(out, part)
@@ -422,17 +425,11 @@ def _grid_pair_scan(
         ds, nom = span[cand], nominal[at][cand]
         sl_a = tuple(slice(max(0, -d), m - max(0, d)) for d in row) + (slice(None),)
         sl_b = tuple(slice(max(0, d), m - max(0, -d)) for d in row) + (slice(None),)
-        if n == 1:
-            lead_sq = np.zeros(1)
-            base_a = base_b = np.zeros(1, dtype=np.intp)
-        else:
-            lead_sq = _outer_sum(
-                [(axes[i][sl_b[i]] - axes[i][sl_a[i]]) ** 2 for i in range(n - 1)]
-            ).ravel()
-            base_a, base_b = (
-                _outer_sum([index[s] * m ** (n - 1 - i) for i, s in enumerate(sl[:-1])]).ravel()
-                for sl in (sl_a, sl_b)
-            )
+        lead_sq = _outer_sum([(axes[i][sl_b[i]] - axes[i][sl_a[i]]) ** 2 for i in range(n - 1)]).ravel()
+        base_a, base_b = (
+            _outer_sum([index[s] * m ** (n - 1 - i) for i, s in enumerate(sl[:-1])]).ravel()
+            for sl in (sl_a, sl_b)
+        )
         r = lead_sq.size
         sliced = {k: (fields[k][sl_a].reshape(r, m), fields[k][sl_b].reshape(r, m)) for k in ubound}
         while ds.size:
@@ -476,6 +473,13 @@ def _exact_order_components(fn: TestFunction, pts: np.ndarray, order: int) -> Di
     return {k: jet[k] for k in multi_indices_exact(fn.ndim, order)}
 
 
+def _gamma(gamma: float) -> float:
+    """A quotient exponent checked to lie in (0, 1], as a float."""
+    if not (0.0 < gamma <= 1.0):
+        raise BadParams(f"gamma must lie in (0, 1], got {gamma}")
+    return float(gamma)
+
+
 def _refine_cloud(pair: tuple[np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
     """5 points per axis at spacing h/2 around each endpoint, stacked in order."""
     return np.concatenate(
@@ -501,11 +505,9 @@ def holder_seminorm(
     :func:`brute_force_holder` on the same grid bit for bit, a property the
     tests check, not one shared code guarantees.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    gamma = _gamma(gamma)
     if grid is None:
         grid = default_grid(fn, "pair")
-    gamma = float(gamma)
     comps = _exact_order_components(fn, grid.mesh(), order)
     sups, pairs = _grid_pair_scan(grid, comps, gamma)
 
@@ -546,14 +548,13 @@ def brute_force_holder(
     bit. Its cost is quadratic, so grids beyond ``PAIR_POINT_CAP`` points
     raise OracleTooLarge.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    gamma = _gamma(gamma)
     if grid.npoints > PAIR_POINT_CAP:
         raise OracleTooLarge(
             f"{grid.npoints} points exceed the pair-scan cap of {PAIR_POINT_CAP}"
         )
     pts = grid.mesh()
-    sups, _ = _pair_scan(pts, _exact_order_components(fn, pts, order), float(gamma))
+    sups, _ = _pair_scan(pts, _exact_order_components(fn, pts, order), gamma)
     total = 0.0
     for key in sorted(sups):
         total += sups[key]
@@ -597,7 +598,7 @@ def xnorm(
     scales both modes coincide.
     """
     if mode not in ("full", "seminorm"):
-        raise ValueError(f"mode must be 'full' or 'seminorm', got {mode!r}")
+        raise BadParams(f"mode must be 'full' or 'seminorm', got {mode!r}")
     idx = SpaceIndex(s, fn.ndim)
     if idx.s > 0:
         return lp_norm(fn, 1 / idx.s, order=order, grid=lp_grid)

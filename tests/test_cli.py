@@ -69,6 +69,14 @@ class TestParams:
         assert out == ""
         assert err == "error: dimension must be positive, got n=0\n"
 
+    def test_infinite_exponent_is_the_sup_scale(self):
+        code, out, err = run(
+            ["params", "--n", "1", "--k", "2", "--l", "1", "--p", "inf", "--r", "-2", "--theta", "3/4"]
+        )
+        assert (code, err) == (2, "")
+        assert out.splitlines()[1] == "p=inf s=0 (p=inf, L^inf)"
+        assert out.splitlines()[-1] == "violation[range]: sp=0 (p = infinity) is outside the admissible exponents"
+
     def test_decimal_exponent_rejected(self):
         code, _, err = run(
             ["params", "--n", "3", "--k", "2", "--l", "1",
@@ -283,8 +291,10 @@ class TestVerify:
         [
             ("exp=2/3;1/3", "exp=2/0;1/3", "denominator of '2/0' must be positive"),
             ("instance n=1", "instance n=0", "invalid instance: dimension n=0"),
+            ("theta=2/3\n", "theta=2/3 bogus=7\n", "unknown keys ['bogus']"),
+            (" exp=1 constant=", " exp=1 extra=5 constant=", "unknown keys ['extra']"),
         ],
-        ids=["zero-denominator", "zero-dimension"],
+        ids=["zero-denominator", "zero-dimension", "unknown-instance-key", "unknown-step-key"],
     )
     def test_malformed_certificate_exits_two(self, tmp_path, old, new, message):
         cert = self.certificate(tmp_path)
@@ -402,6 +412,28 @@ def test_removed_flags_rejected(argv, flag):
     code, _, err = run(argv)
     assert code == 2
     assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["params", "--n", "1", "--k", "2", "--l", "1", "--p", "0", "--r", "-2", "--theta", "3/4"],
+         "error: exponent 0 has no index scale (use 'inf' for s=0)"),
+        (["norm", "--fn", "bump(R=1)", "--n", "3", "--s", "1/2", "--order", "2", "--points", "64"],
+         "error: composite Simpson needs an odd point count, got 64"),
+        (["sweep", "--instance", "n=1,k=2,foo"], "error: instance entry 'foo' is not key=value"),
+        (["sweep", "--instance", "n=1,k=2,l=1,x=3"], "error: unknown instance keys ['x']"),
+        (["derive", "--instance", "k=2,l=1,p=2,r=-2"], "error: instance needs n, k and l (missing 'n')"),
+        (["oracle", "--holder", "--fn", "bump(R=1)"], "gninterp: error: --holder requires --p2"),
+        (["oracle", "--lp", "--fn", "bump(R=1)"], "gninterp: error: --lp requires --p"),
+    ],
+    ids=["zero-exponent", "even-points", "instance-entry", "instance-key", "instance-orders",
+         "holder-without-p2", "lp-without-p"],
+)
+def test_input_errors_exit_two(argv, message):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == message
 
 
 def test_version_flag():

@@ -44,7 +44,7 @@ from gninterp.errors import (
 )
 from gninterp.indices import InequalityInstance, solve_q
 from gninterp.interp import InterpolationTriple, check_interpolation
-from gninterp.norms import xnorm
+from gninterp.norms import default_grid, xnorm
 from gninterp.testfn import bump, bump_poly, plateau
 
 from conftest import make_instance
@@ -291,6 +291,9 @@ class TestExactVerification:
         with pytest.raises(BrokenChain):
             verify_chain(ProofChain(wrong, chain.steps))
 
+    def test_empty_steps_have_no_constant(self):
+        assert chain_constant(()) is None
+
     def test_chain_constant_matches_property(self):
         chain = derive_chain(make_instance(1, 3, 2, F(-1, 2), F(-2), F(3, 4)))
         assert chain.final_constant == chain_constant(chain.steps)
@@ -397,9 +400,12 @@ class TestCertificates:
             ("n=3", "n=0", "invalid instance: dimension n=0 must be >= 1"),
             ("sq=1/12", "sq=1/11", "invalid instance: sq - l/n = -8/33 but"),
             ("theta=1/2", "theta=1/3", "invalid instance: .*theta=1/3 outside \\[1/2, 1\\]"),
+            ("theta=1/2\n", "theta=1/2 bogus=7\n", "unknown keys \\['bogus'\\] in 'n=3 "),
+            (" constant=empirical", " extra=5 constant=empirical", "unknown keys \\['extra'\\] in 'in=2,1/2 "),
         ],
         ids=["zero-denominator", "zero-denominator-index", "decimal", "duplicate-instance-key",
-             "duplicate-step-key", "zero-dimension", "unbalanced", "theta-window"],
+             "duplicate-step-key", "zero-dimension", "unbalanced", "theta-window", "unknown-instance-key",
+             "unknown-step-key"],
     )
     def test_malformed_fields_are_bad_certificates(self, old, new, message):
         # Not broken chains: the text does not describe a valid instance or step.
@@ -502,6 +508,27 @@ class TestDilation:
         inst = make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2))
         with pytest.raises(BadParams, match="dimension 3.*n=2"):
             dilation_sweep(inst, bump(3), [1.0])
+
+    @pytest.mark.parametrize("kind", ["lp", "pair"])
+    def test_explicit_grid_takes_one_lambda(self, kind):
+        # A grid built on one dilation's box would misread the others.
+        inst = make_instance(1, 2, 1, F(1, 2), F(-1, 2), F(3, 4))
+        grid = {f"{kind}_grid": default_grid(bump(1), kind)}
+        with pytest.raises(BadParams, match="pass one lambda per call, got 3"):
+            dilation_sweep(inst, bump(1), [0.5, 1.0, 2.0], **grid)
+
+    @pytest.mark.parametrize("points,pair_points", [(257, None), (None, 129), (257, 129)])
+    def test_grids_on_each_dilation_read_the_balanced_ratio(self, points, pair_points):
+        inst = make_instance(1, 2, 1, F(1, 2), F(-1, 2), F(3, 4))
+        fn, rows = bump(1), []
+        for lam in (0.5, 1.0, 2.0):
+            grids = {}
+            for kind, value in (("lp", points), ("pair", pair_points)):
+                if value is not None:
+                    grid = default_grid(fn.dilate(lam), kind)
+                    grids[f"{kind}_grid"] = dataclasses.replace(grid, points_per_axis=value)
+            rows += dilation_sweep(inst, fn, [lam], **grids)
+        assert [repr(r) for _, r in rows] == ["0.7302117815661451", "0.730211781566145", "0.7302117815661451"]
 
     def test_broken_balance_has_analytic_slope(self):
         inst = make_instance(1, 2, 1, F(1, 2), F(-1, 2), F(3, 4))

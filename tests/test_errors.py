@@ -1,0 +1,118 @@
+"""Every deliberate failure is a GNInterpError, raised where its input enters."""
+
+from dataclasses import replace
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from gninterp.cli import RunConfig, _index_scale, load_config, parse_instance
+from gninterp.derivation import (
+    Slot,
+    _parse_rational,
+    base_lemma_steps,
+    derive_chain,
+    format_certificate,
+    parse_certificate,
+)
+from gninterp.errors import BadParams, BrokenChain, DslSyntaxError, GNInterpError, InvalidBase
+from gninterp.indices import HolderSignature, InequalityInstance, SpaceIndex
+from gninterp.interp import split_sum_inequality
+from gninterp.norms import GridSpec, brute_force_holder, default_grid, holder_seminorm, lp_norm, xnorm
+from gninterp.testfn import bump, bump_poly, parse_testfn
+
+# Each check that once raised a bare ValueError, with its message. A case gets
+# ``path(text)``, which writes a config file and returns its path; ``{cfg}``
+# in a message stands for that path.
+FORMER_VALUE_ERRORS = {
+    "grid-lengths": (lambda path: GridSpec((0.0,), (1.0, 1.0), 5), "lo and hi have different lengths"),
+    "grid-points": (lambda path: GridSpec((0.0,), (1.0,), 2), "need at least 3 points per axis"),
+    "grid-finite": (
+        lambda path: GridSpec((0.0,), (float("nan"),), 5),
+        "box bounds must be finite, got lo=(0.0,) hi=(nan,)",
+    ),
+    "grid-order": (lambda path: GridSpec((1.0,), (0.0,), 5), "need hi > lo on every axis, got lo=(1.0,) hi=(0.0,)"),
+    "grid-kind": (lambda path: default_grid(bump(1), "pairs"), "grid kind must be 'lp' or 'pair', got 'pairs'"),
+    "lp-exponent": (
+        lambda path: lp_norm(bump(1), 0.5),
+        "p must satisfy 1 <= p < inf (use sup_norm for p = inf), got 0.5",
+    ),
+    "seminorm-gamma": (lambda path: holder_seminorm(bump(1), 0, 1.5), "gamma must lie in (0, 1], got 1.5"),
+    "brute-gamma": (
+        lambda path: brute_force_holder(bump(1), 0, 1.5, GridSpec((-1.05,), (1.05,), 9)),
+        "gamma must lie in (0, 1], got 1.5",
+    ),
+    "simpson-odd": (
+        lambda path: lp_norm(bump(1), 2, grid=GridSpec((-1.05,), (1.05,), 64)),
+        "composite Simpson needs an odd point count, got 64",
+    ),
+    "xnorm-mode": (
+        lambda path: xnorm(bump(1), F(1, 2), mode="partial"),
+        "mode must be 'full' or 'seminorm', got 'partial'",
+    ),
+    "index-dimension": (lambda path: SpaceIndex(F(1, 2), 0), "dimension must be positive, got n=0"),
+    "signature-integer": (lambda path: HolderSignature(-1, F(1, 2)), "integer part must be >= 0, got -1"),
+    "signature-fraction": (lambda path: HolderSignature(0, F(0)), "fractional part must lie in (0,1], got 0"),
+    "split-lengths": (lambda path: split_sum_inequality([1.0], [1.0, 2.0], 0.5), "sequences must have equal length"),
+    "split-sign": (lambda path: split_sum_inequality([-1.0], [1.0], 0.5), "sequences must be nonnegative"),
+    "split-eta": (lambda path: split_sum_inequality([1.0], [1.0], 1.5), "eta must lie in [0, 1], got 1.5"),
+    "slot-order": (lambda path: Slot(-1, F(0)), "derivative order must be >= 0, got -1"),
+    "certificate-rational": (lambda path: _parse_rational("2/0"), "denominator of '2/0' must be positive"),
+    "config-tolerance": (lambda path: RunConfig(tolerance_ratio=0.0), "tolerance_ratio must be positive, got 0.0"),
+    "config-key": (
+        lambda path: load_config(str(path(b"bogus=1"))),
+        "{cfg}:1: unknown config entry 'bogus=1'",
+    ),
+    "config-value": (
+        lambda path: load_config(str(path(b"points=abc"))),
+        "{cfg}:1: invalid literal for int() with base 10: 'abc'",
+    ),
+    "exponent-zero": (lambda path: _index_scale("0"), "exponent 0 has no index scale (use 'inf' for s=0)"),
+    "instance-entry": (lambda path: parse_instance("n=1,k=2,foo"), "instance entry 'foo' is not key=value"),
+    "instance-key": (lambda path: parse_instance("n=1,k=2,l=1,x=3"), "unknown instance keys ['x']"),
+    "instance-orders": (lambda path: parse_instance("k=2,l=1"), "instance needs n, k and l (missing 'n')"),
+}
+
+
+@pytest.mark.parametrize("call,message", FORMER_VALUE_ERRORS.values(), ids=FORMER_VALUE_ERRORS.keys())
+def test_former_value_errors_are_bad_params(tmp_path, call, message):
+    cfg = tmp_path / "run.cfg"
+
+    def path(text):
+        cfg.write_bytes(text)
+        return cfg
+
+    with pytest.raises(BadParams) as info:
+        call(path)
+    assert isinstance(info.value, GNInterpError)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == message.format(cfg=cfg)
+
+
+def _unmatched_exponents():
+    # The base lemma's two inputs left with a single exponent.
+    text = format_certificate(derive_chain(InequalityInstance(3, 2, 1, F(1, 2), F(1, 12), F(-1, 3), F(1, 2))))
+    return parse_certificate(text.replace("exp=1/2;1/2 constant=empirical", "exp=1 constant=empirical"))
+
+
+INPUT_CHECKS = {
+    "base-dimension": (lambda: base_lemma_steps(0, F(1, 2), F(-1)), InvalidBase, "dimension must be positive, got n=0"),
+    "certificate-exponent-count": (_unmatched_exponents, BrokenChain, "BASE_LEMMA: 2 inputs, 1 exponents"),
+    "radius": (lambda: replace(bump(1), radius=0.0), BadParams, "support radius must be positive, got 0.0"),
+    "center": (lambda: replace(bump(2), center=(0.0,)), BadParams, "center length does not match ndim"),
+    "dilate": (lambda: bump(1).dilate(0), BadParams, "dilation factor must be positive, got 0"),
+    "translate": (lambda: bump(3).translate([0.1, 0.2]), BadParams, "shift has 2 entries for ndim=3"),
+    "jet-points": (lambda: bump(3).jet(np.zeros((4, 2)), 0), BadParams, "points have dimension 2, function has 3"),
+    "deg": (lambda: bump_poly(1, deg=-1), BadParams, "deg must be a nonnegative integer, got -1"),
+    "dsl-translate": (
+        lambda: parse_testfn("bump(R=1)*translate()", 1), DslSyntaxError, "translate needs at least one coordinate"
+    ),
+    "dsl-amp": (lambda: parse_testfn("bump(R=1)*amp(1,2)", 1), DslSyntaxError, "amp takes one factor"),
+}
+
+
+@pytest.mark.parametrize("call,exc,message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_checks_raise_their_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

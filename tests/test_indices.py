@@ -84,6 +84,9 @@ class TestSpaceIndex:
         with pytest.raises(ValueError):
             SpaceIndex(F(1, 2), 0)
 
+    def test_exponent_is_the_reciprocal_scale(self):
+        assert [SpaceIndex(s, 2).p for s in (F(1, 3), F(0), F(-1, 2))] == [F(3), None, F(-2)]
+
 
 class TestHolderSignature:
     @pytest.mark.parametrize(

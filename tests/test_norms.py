@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gninterp.errors import GridTooCoarse, OracleTooLarge
+from gninterp import testfn
+from gninterp.errors import BadParams, GridTooCoarse, OracleTooLarge
 from gninterp.norms import (
     PAIR_POINT_CAP,
     GridSpec,
@@ -146,6 +147,19 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(bump1, 0.5)
 
+    def test_even_grid_rejected_before_any_jet(self, bump1, monkeypatch):
+        calls = []
+
+        def counting(fn, points, order):
+            calls.append(order)
+            return jet(fn, points, order)
+
+        jet = testfn.TestFunction.jet
+        monkeypatch.setattr(testfn.TestFunction, "jet", counting)
+        with pytest.raises(BadParams, match="odd point count, got 64"):
+            lp_norm(bump1, 2, order=2, grid=GridSpec((-1.05,), (1.05,), 64))
+        assert calls == []
+
     @pytest.mark.parametrize("norm", [lp_norm, lp_norm_midpoint_oracle])
     @pytest.mark.parametrize("p", [float("inf"), float("nan"), 0.5])
     def test_rejects_p_outside_finite_range(self, bump1, norm, p):
@@ -202,6 +216,10 @@ class TestMidpointOracle:
         a = lp_norm(fn, p, order=order)
         b = lp_norm_midpoint_oracle(fn, p, order=order)
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+
+    def test_zero_function_reads_zero(self, bump1):
+        nv = lp_norm_midpoint_oracle(bump1.scaled(0.0), 2)
+        assert (nv.value, nv.error_estimate) == (0.0, 0.0)
 
     def test_independent_points(self, bump1):
         # Midpoint nodes fall strictly between Simpson nodes on the same box.
