@@ -311,7 +311,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     fn = parse_testfn(args.fn, args.n)
     if args.holder:
         grid = _grid(fn, "pair", cfg.points)
-        gamma = float(as_rational(args.p2))
+        gamma = as_rational(args.p2)
         fast = holder_seminorm(fn, args.order, gamma, grid=grid, refinements=0)
         brute = brute_force_holder(fn, args.order, gamma, grid=grid)
         equal = fast.value == brute.value
@@ -322,7 +322,7 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
         return 0 if equal else 1
     grid = _grid(fn, "lp", 65 if cfg.points is None else cfg.points)
-    p = float(as_rational(args.p))
+    p = as_rational(args.p)
     fast = lp_norm(fn, p, order=args.order, grid=grid)
     brute = lp_norm_midpoint_oracle(fn, p, order=args.order, grid=grid)
     budget = fast.error_estimate + brute.error_estimate

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .indices import (
     structural_violations,
 )
 from .interp import InterpolationTriple, _same_dimension, _verdict, classify_triple
-from .norms import GridSpec, NormValue, xnorm
+from .norms import GridSpec, NormValue, _slot_norms
 from .testfn import TestFunction
 
 RULE_SOBOLEV = "SOBOLEV_STEP"
@@ -499,13 +499,23 @@ class ChainEvaluation:
         return not self.violations
 
 
-def _end_ratio(inst: InequalityInstance, norm: Callable[[Slot], NormValue], sq: Fraction) -> float:
-    """N(l, sq) / (N(k, sp)^theta * N(0, sr)^(1 - theta)); N(0, sr) is not measured at theta = 1."""
-    lhs = norm(Slot(inst.l, sq))
-    factors = [(norm(Slot(inst.k, inst.sp)), inst.theta)]
-    if inst.theta != 1:
-        factors.append((norm(Slot(0, inst.sr)), 1 - inst.theta))
+def _end_slots(inst: InequalityInstance, sq: Fraction) -> list[Slot]:
+    """The slots of N(l, sq) / (N(k, sp)^theta * N(0, sr)^(1 - theta)); N(0, sr) is not measured at theta = 1."""
+    return [Slot(inst.l, sq), Slot(inst.k, inst.sp)] + ([Slot(0, inst.sr)] if inst.theta != 1 else [])
+
+
+def _end_ratio(inst: InequalityInstance, norms: Mapping[Slot, NormValue], sq: Fraction) -> float:
+    lhs, top, *low = (norms[sl] for sl in _end_slots(inst, sq))
+    factors = [(top, inst.theta)] + [(nv, 1 - inst.theta) for nv in low]
     return _verdict(lhs, factors, None)[1]
+
+
+def _measure(
+    fn: TestFunction, slots: Sequence[Slot], lp_grid: GridSpec | None, pair_grid: GridSpec | None
+) -> dict[Slot, NormValue]:
+    """Seminorm of every slot, all read from one evaluation of ``fn``'s fields."""
+    values = _slot_norms(fn, [(sl.scale, sl.order) for sl in slots], "seminorm", lp_grid, pair_grid)
+    return dict(zip(slots, values))
 
 
 def evaluate_chain(
@@ -519,7 +529,8 @@ def evaluate_chain(
     A step with an explicit constant is flagged as a violation when the
     verdict of :func:`gninterp.interp._verdict` fails.  Empirical steps are
     measured but never flagged.  A function whose dimension is not the
-    instance's raises BadParams.
+    instance's raises BadParams.  Every slot reads one set of fields: each
+    point set is evaluated once, at the orders the slots read.
 
     Known limitation: a ``ck_step`` interpolation step is measured here in
     pair seminorms, while its factor-2 constant is stated for whole-derivative
@@ -529,15 +540,9 @@ def evaluate_chain(
     inst = chain.instance
     _same_dimension(inst.n, fn)
     slots = {st.output for st in chain.steps} | {sl for st in chain.steps for sl in st.inputs}
-    slots |= {Slot(inst.l, inst.sq), Slot(inst.k, inst.sp)}
-    if inst.theta != 1:
-        slots.add(Slot(0, inst.sr))
+    slots |= set(_end_slots(inst, inst.sq))
     ordered = sorted(slots, key=lambda sl: (sl.order, sl.scale))
-
-    norms = {
-        sl: xnorm(fn, sl.scale, order=sl.order, mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
-        for sl in ordered
-    }
+    norms = _measure(fn, ordered, lp_grid, pair_grid)
 
     measured = []
     for step in chain.steps:
@@ -550,8 +555,14 @@ def evaluate_chain(
         chain=chain,
         norms=tuple((sl, norms[sl]) for sl in ordered),
         steps=tuple(measured),
-        end_ratio=_end_ratio(inst, norms.__getitem__, inst.sq),
+        end_ratio=_end_ratio(inst, norms, inst.sq),
     )
+
+
+def _covers(grid: GridSpec, fn: TestFunction) -> bool:
+    """Whether ``grid``'s box contains ``fn``'s support box."""
+    lo, hi = fn.bounding_box()
+    return grid.ndim == fn.ndim and all(np.less_equal(grid.lo, lo)) and all(np.greater_equal(grid.hi, hi))
 
 
 def dilation_sweep(
@@ -571,22 +582,26 @@ def dilation_sweep(
     not the instance's raises BadParams.
 
     A grid fits the box of the one dilation it was built on: with ``lp_grid``
-    or ``pair_grid`` set, ``lambdas`` must hold one value, with the grids
-    built on ``fn.dilate(lam)``, else BadParams.  Without grids every
-    dilation gets its default grids.
+    or ``pair_grid`` set, ``lambdas`` must hold one value, and each grid must
+    cover the support box of ``fn.dilate(lam)``, else BadParams.  Without
+    grids every dilation gets its default grids.  Each dilation's slots read
+    one set of fields.
     """
     _same_dimension(inst.n, fn)
     lambdas = list(lambdas)
     if len(lambdas) > 1 and (lp_grid, pair_grid) != (None, None):
         raise BadParams(f"a grid fits one dilation's box: pass one lambda per call, got {len(lambdas)} lambdas")
     sq = inst.sq + as_rational(sq_shift)
-    kw = dict(mode="seminorm", lp_grid=lp_grid, pair_grid=pair_grid)
-    out = []
-    for lam in lambdas:
-        v = fn.dilate(lam)
-        ratio = _end_ratio(inst, lambda sl: xnorm(v, sl.scale, order=sl.order, **kw), sq)
-        out.append((float(lam), ratio))
-    return out
+    dilated = [(float(lam), fn.dilate(lam)) for lam in lambdas]
+    for lam, v in dilated:
+        for name, grid in (("lp_grid", lp_grid), ("pair_grid", pair_grid)):
+            if grid is not None and not _covers(grid, v):
+                lo, hi = v.bounding_box()
+                raise BadParams(
+                    f"{name} box {grid.lo}..{grid.hi} does not cover the support box "
+                    f"{tuple(lo.tolist())}..{tuple(hi.tolist())} at lambda={lam!r}; build it on fn.dilate(lam)"
+                )
+    return [(lam, _end_ratio(inst, _measure(v, _end_slots(inst, sq), lp_grid, pair_grid), sq)) for lam, v in dilated]
 
 
 def dilation_slope(sweep: Sequence[tuple[float, float]]) -> float:

@@ -10,9 +10,17 @@ Three numerical primitives, each returning a value plus an error estimate:
   lattice offsets of the grid, skipping offsets that exact bounds rule out,
   again with local refinement around the best pair.
 
-Derivative norms reduce a jet to a scalar field pointwise by taking the max
-over all components of the given total order; sup parts of Holder norms take
-the max across orders. Seminorm parts sum the per-component pair sups.
+Derivative norms read fields, not jets. A private holder, built from the
+slots a caller will read, evaluates each point set of one function once, at
+exactly the orders read: the lp grid's refined mesh (Simpson) and its nodes
+(sup) as the pointwise max over the components of each total order, from
+:meth:`TestFunction._max_abs_fields`, and the pair grid's mesh (Holder scans)
+as the exact-order components of one jet at the highest Holder order. The
+nodes are the refined mesh's even-index nodes, so a sup order that is also
+an lp order is sliced, not evaluated. Sup parts of Holder norms take the max
+across orders; seminorm parts sum the per-component pair sups. The local
+clouds of the sup and pair refinements are still evaluated per norm and
+round.
 
 :func:`holder_seminorm` and its oracle :func:`brute_force_holder` scan pairs
 with separate routines that share one thing, :func:`_pair_denominators`: the
@@ -26,12 +34,11 @@ All reductions run in a fixed order; repeated calls give identical floats.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence
+from typing import Collection, Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -70,8 +77,15 @@ _SUP_REFINEMENTS = 2
 
 
 def _mesh(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of ``axes`` as an (npoints, ndim) array, C order."""
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    """Tensor product of ``axes`` as an (npoints, ndim) array, C order.
+
+    Each coordinate column is written once, broadcast from its axis.
+    """
+    ndim = len(axes)
+    out = np.empty(tuple(len(a) for a in axes) + (ndim,))
+    for i, a in enumerate(axes):
+        out[..., i] = np.reshape(a, (-1,) + (1,) * (ndim - 1 - i))
+    return out.reshape(-1, ndim)
 
 
 @dataclass(frozen=True)
@@ -145,15 +159,65 @@ class NormValue:
 
 def _max_component_field(fn: TestFunction, pts: np.ndarray, order: int) -> np.ndarray:
     """Pointwise max of |D^alpha u| over all alpha of the given total order."""
-    comps = _exact_order_components(fn, pts, order).values()
-    return functools.reduce(np.maximum, (np.abs(v) for v in comps))
+    return fn._max_abs_fields(pts, (order,))[order]
 
 
 def _finite_exponent(p: float | Fraction) -> float:
-    p = float(p)
-    if not 1.0 <= p < math.inf:
+    """``p`` checked to satisfy 1 <= p < inf, as given, then as a float."""
+    if not 1 <= p < math.inf:
         raise BadParams(f"p must satisfy 1 <= p < inf (use sup_norm for p = inf), got {p}")
-    return p
+    return float(p)
+
+
+def _clouds(centers: np.ndarray, h: np.ndarray, count: int) -> np.ndarray:
+    """``count`` points per axis from ``c - h`` to ``c + h`` around each row
+    ``c`` of ``centers``: one :func:`_mesh` per centre, stacked in order."""
+    ndim = centers.shape[1]
+    axes = np.linspace(centers - h, centers + h, count, axis=-1)
+    at = np.indices((count,) * ndim).reshape(ndim, -1)
+    return axes[:, np.arange(ndim)[:, None], at].transpose(0, 2, 1).reshape(-1, ndim)
+
+
+class _Fields:
+    """What a set of norms of one function reads, each point set evaluated once.
+
+    Built from the orders the norms will read: ``lp`` on the lp grid's
+    refined mesh (Simpson), ``sup`` on the lp grid's nodes (grid sups) and
+    ``pair`` on the pair grid's mesh (Holder scans). The first two hold one
+    max-component field per order from one :meth:`TestFunction._max_abs_fields`
+    pass per point set; the nodes are the refined mesh's even-index nodes, so
+    a sup order that is also an lp order is sliced from the refined field.
+    The pair mesh holds the exact-order components of one ``fn.jet`` at the
+    highest pair order. An even lp point count raises BadParams before any
+    evaluation.
+    """
+
+    def __init__(
+        self,
+        fn: TestFunction,
+        lp_grid: GridSpec | None = None,
+        pair_grid: GridSpec | None = None,
+        lp: Collection[int] = (),
+        sup: Collection[int] = (),
+        pair: Collection[int] = (),
+    ):
+        self.fn = fn
+        self.lp_grid = default_grid(fn, "lp") if lp_grid is None else lp_grid
+        self.pair_grid = default_grid(fn, "pair") if pair_grid is None else pair_grid
+        if lp and self.lp_grid.points_per_axis % 2 == 0:
+            raise BadParams(f"composite Simpson needs an odd point count, got {self.lp_grid.points_per_axis}")
+        fine = self.lp_grid.refined()
+        self.fine = fn._max_abs_fields(fine.mesh(), lp) if lp else {}
+        even = (slice(None, None, 2),) * fn.ndim
+        shape = (fine.points_per_axis,) * fn.ndim
+        self.nodes = {m: self.fine[m].reshape(shape)[even].ravel() for m in set(sup) & set(self.fine)}
+        rest = set(sup) - set(self.fine)
+        if rest:
+            self.nodes.update(fn._max_abs_fields(self.lp_grid.mesh(), rest))
+        self.pair = {}
+        if pair:
+            jet = fn.jet(self.pair_grid.mesh(), max(pair))
+            self.pair = {m: {k: jet[k] for k in multi_indices_exact(fn.ndim, m)} for m in pair}
 
 
 def _simpson_weights(m: int, h: float) -> np.ndarray:
@@ -186,12 +250,13 @@ def lp_norm(
     a relative discrepancy above ``_COARSE_TOL`` raises GridTooCoarse.
     """
     p = _finite_exponent(p)
-    if grid is None:
-        grid = default_grid(fn, "lp")
-    if grid.points_per_axis % 2 == 0:
-        raise BadParams(f"composite Simpson needs an odd point count, got {grid.points_per_axis}")
+    return _lp_value(_Fields(fn, lp_grid=grid, lp=(order,)), p, order)
+
+
+def _lp_value(fields: _Fields, p: float, order: int) -> NormValue:
+    grid = fields.lp_grid
     fine = grid.refined()
-    field = _max_component_field(fn, fine.mesh(), order) ** p
+    field = fields.fine[order] ** p
     # The coarse grid's nodes are the fine grid's even-index nodes.
     even = (slice(None, None, 2),) * grid.ndim
     coarse = field.reshape((fine.points_per_axis,) * grid.ndim)[even]
@@ -260,18 +325,21 @@ def sup_norm(
     around the argmax with the spacing shrunk 4x per round. The error estimate is the last observed
     improvement (floored at machine precision of the value).
     """
-    if grid is None:
-        grid = default_grid(fn, "lp")
-    pts = grid.mesh()
-    field = _max_component_field(fn, pts, order)
+    return _sup_value(_Fields(fn, lp_grid=grid, sup=(order,)), order)
+
+
+def _sup_value(fields: _Fields, order: int) -> NormValue:
+    grid = fields.lp_grid
+    field = fields.nodes[order]
     best_i = int(np.argmax(field))
     best = float(field[best_i])
-    center = pts[best_i]
+    at = np.unravel_index(best_i, (grid.points_per_axis,) * grid.ndim)
+    center = np.array([ax[i] for ax, i in zip(grid.axes(), at)])
     h = grid.spacing()
     improvement = 0.0
     for _ in range(_SUP_REFINEMENTS):
-        local = _mesh([np.linspace(center[i] - h[i], center[i] + h[i], 9) for i in range(fn.ndim)])
-        lf = _max_component_field(fn, local, order)
+        local = _clouds(center[None], h, 9)
+        lf = _max_component_field(fields.fn, local, order)
         li = int(np.argmax(lf))
         if float(lf[li]) > best:
             improvement = float(lf[li]) - best
@@ -480,13 +548,6 @@ def _gamma(gamma: float) -> float:
     return float(gamma)
 
 
-def _refine_cloud(pair: tuple[np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
-    """5 points per axis at spacing h/2 around each endpoint, stacked in order."""
-    return np.concatenate(
-        [_mesh([np.linspace(c[i] - h[i], c[i] + h[i], 5) for i in range(len(c))]) for c in pair], axis=0
-    )
-
-
 def holder_seminorm(
     fn: TestFunction,
     order: int,
@@ -506,23 +567,26 @@ def holder_seminorm(
     tests check, not one shared code guarantees.
     """
     gamma = _gamma(gamma)
-    if grid is None:
-        grid = default_grid(fn, "pair")
-    comps = _exact_order_components(fn, grid.mesh(), order)
+    return _seminorm_value(_Fields(fn, pair_grid=grid, pair=(order,)), order, gamma, refinements)
+
+
+def _seminorm_value(fields: _Fields, order: int, gamma: float, refinements: int = 3) -> NormValue:
+    comps = fields.pair[order]
+    grid = fields.pair_grid
     sups, pairs = _grid_pair_scan(grid, comps, gamma)
 
     keys = sorted(comps)
     improvement = 0.0
     h = grid.spacing()
     for _ in range(refinements):
-        # Components refine independently; one jet serves every cloud.
-        clouds = [_refine_cloud(pairs[key], h) for key in keys]
-        jet = fn.jet(np.concatenate(clouds, axis=0), order)
-        start = 0
-        for key, local in zip(keys, clouds):
-            stop = start + local.shape[0]
-            lsup, lpair = _pair_scan(local, {key: jet[key][start:stop]}, gamma)
-            start = stop
+        # Components refine independently; one jet serves every cloud, and
+        # each cloud is 5 points per axis around both ends of its pair.
+        local = _clouds(np.array([c for key in keys for c in pairs[key]]), h, 5)
+        jet = fields.fn.jet(local, order)
+        size = local.shape[0] // len(keys)
+        for i, key in enumerate(keys):
+            part = slice(i * size, (i + 1) * size)
+            lsup, lpair = _pair_scan(local[part], {key: jet[key][part]}, gamma)
             if lsup[key] > sups[key]:
                 improvement = max(improvement, lsup[key] - sups[key])
                 sups[key] = lsup[key]
@@ -564,18 +628,53 @@ def brute_force_holder(
 # -- scale-indexed dispatch ---------------------------------------------------
 
 
-def _holder_norm(
-    fn: TestFunction, lo: int, top: int, gamma: float, lp_grid: GridSpec | None, pair_grid: GridSpec | None
-) -> NormValue:
-    """The largest :func:`sup_norm` over orders ``lo .. top`` plus the
+def _holder_norm(fields: _Fields, lo: int, top: int, gamma: float) -> NormValue:
+    """The largest grid sup over orders ``lo .. top`` plus the
     exponent-``gamma`` seminorm at order ``top``; error estimates add."""
     sup = sup_err = 0.0
     for m in range(lo, top + 1):
-        nv = sup_norm(fn, order=m, grid=lp_grid)
+        nv = _sup_value(fields, m)
         if nv.value > sup:
             sup, sup_err = nv.value, nv.error_estimate
-    semi = holder_seminorm(fn, top, gamma, grid=pair_grid)
+    semi = _seminorm_value(fields, top, gamma)
     return NormValue(sup + semi.value, sup_err + semi.error_estimate, "pair_sup")
+
+
+def _slot_norms(
+    fn: TestFunction,
+    slots: Sequence[tuple[Fraction | int | str, int]],
+    mode: str,
+    lp_grid: GridSpec | None = None,
+    pair_grid: GridSpec | None = None,
+) -> list[NormValue]:
+    """:func:`xnorm` of each ``(scale, order)`` slot, all read from one :class:`_Fields`.
+
+    Every slot is checked, and the orders it reads collected, before the
+    fields are evaluated; then each slot reduces its fields in turn.
+    """
+    if mode not in ("full", "seminorm"):
+        raise BadParams(f"mode must be 'full' or 'seminorm', got {mode!r}")
+    lp, sup, pair = set(), set(), set()
+    reads = []
+    for s, order in slots:
+        idx = SpaceIndex(s, fn.ndim)
+        if idx.s > 0:
+            reads.append((_lp_value, _finite_exponent(1 / idx.s), order))
+            lp.add(order)
+        elif idx.s == 0:
+            reads.append((_sup_value, order))
+            sup.add(order)
+        else:
+            sig = holder_signature(idx)
+            top = order + sig.p1
+            pair.add(top)
+            if mode == "seminorm":
+                reads.append((_seminorm_value, top, float(sig.p2)))
+            else:
+                reads.append((_holder_norm, order, top, float(sig.p2)))
+                sup.update(range(order, top + 1))
+    fields = _Fields(fn, lp_grid, pair_grid, lp, sup, pair)
+    return [read(fields, *args) for read, *args in reads]
 
 
 def xnorm(
@@ -597,17 +696,7 @@ def xnorm(
     the sup part; for scale zero both modes are the grid sup; for positive
     scales both modes coincide.
     """
-    if mode not in ("full", "seminorm"):
-        raise BadParams(f"mode must be 'full' or 'seminorm', got {mode!r}")
-    idx = SpaceIndex(s, fn.ndim)
-    if idx.s > 0:
-        return lp_norm(fn, 1 / idx.s, order=order, grid=lp_grid)
-    if idx.s == 0:
-        return sup_norm(fn, order=order, grid=lp_grid)
-    sig = holder_signature(idx)
-    if mode == "seminorm":
-        return holder_seminorm(fn, order + sig.p1, float(sig.p2), grid=pair_grid)
-    return _holder_norm(fn, order, order + sig.p1, float(sig.p2), lp_grid, pair_grid)
+    return _slot_norms(fn, [(s, order)], mode, lp_grid, pair_grid)[0]
 
 
 def check_holder_equality(
@@ -622,11 +711,14 @@ def check_holder_equality(
     gradient (orders 1 .. p1+1 sups plus the top seminorm) and ``lhs`` is
     the order->=1 part of the scale-(s - 1/n) norm of the function itself.
     The two sides enumerate the same components, so they agree up to
-    floating-point identity; the order-0 sup belongs to neither side.
+    floating-point identity; the order-0 sup belongs to neither side. Both
+    read one set of fields.
     """
     idx = SpaceIndex(s, fn.ndim)
-    holder_signature(idx)  # s < 0 check
+    sig = holder_signature(idx)  # s < 0 check
     down = holder_signature(SpaceIndex(idx.s - Fraction(1, fn.ndim), fn.ndim))
-    lhs = _holder_norm(fn, 1, down.p1, float(down.p2), lp_grid, pair_grid)
-    rhs = xnorm(fn, idx.s, order=1, mode="full", lp_grid=lp_grid, pair_grid=pair_grid)
+    tops = (down.p1, 1 + sig.p1)
+    fields = _Fields(fn, lp_grid, pair_grid, sup=range(1, max(tops) + 1), pair=tops)
+    lhs = _holder_norm(fields, 1, down.p1, float(down.p2))
+    rhs = _holder_norm(fields, 1, 1 + sig.p1, float(sig.p2))
     return lhs, rhs

@@ -19,6 +19,14 @@ depend on the blocking; what the blocking buys is that the kernel's
 temporaries stay small enough for the allocator to reuse them from its heap,
 instead of mapping fresh pages from the OS and faulting them in on every jet.
 
+:meth:`TestFunction.jet` returns every row ``|alpha| <= order`` and is the
+reference. Norms read only ``max over |alpha| = m of |D^alpha u|`` for a few
+orders m, and :meth:`TestFunction._max_abs_fields` computes just that in one
+pass over the blocks: each block evaluates the rows of those orders alone,
+plus the lower rows that an axis factor's product reads (a Taylor row needs
+lower-order series, never the other rows of its order), and keeps one
+abs-max row per order. Every value equals the abs-max of the jet's rows.
+
 Families
 --------
 ``bump(R)``
@@ -67,9 +75,9 @@ BOUNDARY_CUTOFF = 1e-12
 # rows stay under the threshold.
 _JET_BLOCK = 12288
 
-# (y, t0, order) -> [h^alpha] P(y + h) at in-support points y (one row per
-# multi-index of multi_indices(n, order), one column per point).
-Profile = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+# (y, t0, order, rows) -> [h^alpha] P(y + h) at in-support points y, one row
+# per alpha = multi_indices(n, order)[i] for i in rows, one column per point.
+Profile = Callable[[np.ndarray, np.ndarray, int, tuple[int, ...]], np.ndarray]
 
 Key = tuple[int, ...]
 
@@ -181,15 +189,16 @@ def _axis_shifts(nvars: int, order: int, axis: int) -> tuple[tuple[tuple[int, in
     )
 
 
-def _radial_coeffs(y: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
-    """``[h^alpha] G(1 - |y + h|^2)`` from G's coefficients ``g[j]`` at t0 = 1 - |y|^2."""
+def _radial_coeffs(y: np.ndarray, g: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
+    """Rows ``rows`` of ``[h^alpha] G(1 - |y + h|^2)`` from G's coefficients ``g[j]`` at t0 = 1 - |y|^2."""
     cols = np.ascontiguousarray(y.T)
     mono = [None]
     for parent, axis in _monomial_parents(y.shape[1], order):
         mono.append(cols[axis] if parent == 0 else mono[parent] * cols[axis])
-    out = np.zeros((len(mono), y.shape[0]))
-    for row, terms in zip(out, _radial_table(y.shape[1], order)):
-        for j, b, w in terms:
+    table = _radial_table(y.shape[1], order)
+    out = np.zeros((len(rows), y.shape[0]))
+    for row, i in zip(out, rows):
+        for j, b, w in table[i]:
             term = w * g[j]
             if b:
                 term *= mono[b]
@@ -197,11 +206,30 @@ def _radial_coeffs(y: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _times_axis_series(coeffs: np.ndarray, factor: list[np.ndarray], axis: int, nvars: int, order: int) -> np.ndarray:
-    """Product of an n-variable series with ``factor``, the rows of a series in ``h_axis`` alone (absent rows are 0)."""
-    out = np.zeros_like(coeffs)
-    for row, shifts in zip(out, _axis_shifts(nvars, order, axis)):
-        for m, src in shifts[: len(factor)]:
+@lru_cache(maxsize=None)
+def _axis_plan(
+    nvars: int, order: int, axis: int, rows: tuple[int, ...], nfactor: int
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """What rows ``rows`` of a product with an ``nfactor``-row series in ``h_axis`` read.
+
+    Returns the other operand's rows to compute, ascending, and for each
+    output row its terms (m, position of ``alpha - m e_axis`` among them).
+    """
+    shifts = _axis_shifts(nvars, order, axis)
+    picked = [shifts[i][:nfactor] for i in rows]
+    sources = tuple(sorted({src for terms in picked for _, src in terms}))
+    at = {src: i for i, src in enumerate(sources)}
+    return sources, tuple(tuple((m, at[src]) for m, src in terms) for terms in picked)
+
+
+def _times_axis_series(coeffs: np.ndarray, factor: list[np.ndarray], terms: tuple) -> np.ndarray:
+    """Product of an n-variable series with ``factor``, the rows of a series in ``h_axis`` alone.
+
+    ``coeffs`` holds the rows and ``terms`` the terms of an :func:`_axis_plan`.
+    """
+    out = np.zeros((len(terms), coeffs.shape[1]))
+    for row, row_terms in zip(out, terms):
+        for m, src in row_terms:
             row += factor[m] * coeffs[src]
     return out
 
@@ -227,11 +255,11 @@ def _phi(t: np.ndarray) -> np.ndarray:
     return _exp(-_reciprocal(t))
 
 
-def _bump(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
-    return _radial_coeffs(y, _phi(_linear(t0, 1.0, order)), order)
+def _bump(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
+    return _radial_coeffs(y, _phi(_linear(t0, 1.0, order)), order, rows)
 
 
-def _plateau(y: np.ndarray, t0: np.ndarray, order: int, rho: float) -> np.ndarray:
+def _plateau(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...], rho: float) -> np.ndarray:
     # tau = t0 / (1 - rho^2) runs from 0 at the support sphere to 1 at the
     # plateau edge; the profile is psi(tau), identically 1 for tau >= 1.
     c = 1.0 / (1.0 - rho * rho)
@@ -247,7 +275,7 @@ def _plateau(y: np.ndarray, t0: np.ndarray, order: int, rho: float) -> np.ndarra
     phi_t = _phi(_linear(tau, c, order))
     phi_s = _phi(_linear(1.0 - tau, -c, order))
     g[:, trans] = _mul(phi_t, _reciprocal(phi_t + phi_s))
-    return _radial_coeffs(y, g, order)
+    return _radial_coeffs(y, g, order, rows)
 
 
 @dataclass(frozen=True)
@@ -319,6 +347,38 @@ class TestFunction:
 
     # -- evaluation -----------------------------------------------------------
 
+    def _checked_points(self, points: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+        for order in orders:
+            if not (0 <= order <= MAX_JET_ORDER):
+                raise JetOrderOverflow(f"jet order {order} outside 0..{MAX_JET_ORDER}")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.ndim:
+            raise BadParams(f"points have dimension {pts.shape[1]}, function has {self.ndim}")
+        return pts
+
+    def _scales(self, keys: Sequence[Key]) -> np.ndarray:
+        """``amp * radius^-|alpha| * alpha!``: Taylor coefficient of the profile to ``D^alpha u``."""
+        factorials = [math.prod(map(math.factorial, alpha)) for alpha in keys]
+        return np.array([self.amp * self.radius ** (-sum(alpha)) * f for alpha, f in zip(keys, factorials)])
+
+    def _profile_blocks(self, pts: np.ndarray, order: int, rows: tuple[int, ...]):
+        """Per block of ``_JET_BLOCK`` points that meets the support: its
+        start, its in-support indices and the profile's rows ``rows`` there."""
+        center = np.asarray(self.center)
+        for lo in range(0, pts.shape[0], _JET_BLOCK):
+            # y = (x - center) / radius, one contiguous column per axis.
+            cols = [(pts[lo : lo + _JET_BLOCK, ax] - center[ax]) / self.radius for ax in range(self.ndim)]
+            r2 = cols[0] * cols[0]
+            for col in cols[1:]:
+                r2 = r2 + col * col
+            t0 = 1.0 - r2
+            inside = np.flatnonzero(t0 > BOUNDARY_CUTOFF)
+            if inside.size:
+                y = np.empty((self.ndim, inside.size))
+                for col, row in zip(cols, y):
+                    np.take(col, inside, out=row)
+                yield lo, inside, self.profile(y.T, t0[inside], order, rows)
+
     def jet(self, points: np.ndarray, order: int) -> Dict[Key, np.ndarray]:
         """All derivatives up to total order at the given points.
 
@@ -327,28 +387,38 @@ class TestFunction:
         are evaluated in blocks of ``_JET_BLOCK``, so temporaries are bounded
         by the block, not by the grid, and stay in the allocator's heap.
         """
-        if not (0 <= order <= MAX_JET_ORDER):
-            raise JetOrderOverflow(f"jet order {order} outside 0..{MAX_JET_ORDER}")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.ndim:
-            raise BadParams(f"points have dimension {pts.shape[1]}, function has {self.ndim}")
+        pts = self._checked_points(points, (order,))
         keys = multi_indices(self.ndim, order)
-        factorials = [math.prod(map(math.factorial, alpha)) for alpha in keys]
-        scale = np.array([self.amp * self.radius ** (-sum(alpha)) * f for alpha, f in zip(keys, factorials)])
-        center = np.asarray(self.center)
+        scale = self._scales(keys)
         out = np.zeros((len(keys), pts.shape[0]))
-        for lo in range(0, pts.shape[0], _JET_BLOCK):
-            y = (pts[lo : lo + _JET_BLOCK] - center) / self.radius
-            r2 = y[:, 0] * y[:, 0]
-            for ax in range(1, self.ndim):
-                r2 = r2 + y[:, ax] * y[:, ax]
-            t0 = 1.0 - r2
-            inside = np.flatnonzero(t0 > BOUNDARY_CUTOFF)
-            if inside.size:
-                block = out[:, lo : lo + _JET_BLOCK]
-                for row, coeff, factor in zip(block, self.profile(y[inside], t0[inside], order), scale):
-                    row[inside] = coeff * factor
+        for lo, inside, coeffs in self._profile_blocks(pts, order, tuple(range(len(keys)))):
+            block = out[:, lo : lo + _JET_BLOCK]
+            for row, coeff, factor in zip(block, coeffs, scale):
+                row[inside] = coeff * factor
         return dict(zip(keys, out))
+
+    def _max_abs_fields(self, points: np.ndarray, orders: Sequence[int]) -> Dict[int, np.ndarray]:
+        """``{m: max over |alpha| = m of |D^alpha u(points)|}`` for each order m.
+
+        One pass over the blocks of :meth:`jet`: each block computes only the
+        rows of these orders (and the lower rows an axis factor reads), takes
+        the abs-max per order inside the block and scatters one row per
+        order. The values are the abs-max of :meth:`jet`'s rows, bit for bit.
+        """
+        pts = self._checked_points(points, orders)
+        orders = sorted(set(orders))
+        keys = multi_indices(self.ndim, orders[-1])
+        rows = tuple(i for i, alpha in enumerate(keys) if sum(alpha) in orders)
+        scale = self._scales([keys[i] for i in rows])
+        groups = [(m, [j for j, i in enumerate(rows) if sum(keys[i]) == m]) for m in orders]
+        out = {m: np.zeros(pts.shape[0]) for m in orders}
+        for lo, inside, coeffs in self._profile_blocks(pts, orders[-1], rows):
+            for m, group in groups:
+                acc = np.abs(coeffs[group[0]] * scale[group[0]])
+                for j in group[1:]:
+                    np.maximum(acc, np.abs(coeffs[j] * scale[j]), out=acc)
+                out[m][lo : lo + _JET_BLOCK][inside] = acc
+        return out
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.jet(points, 0)[(0,) * self.ndim]
@@ -382,9 +452,10 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
         raise BadParams(f"axis {axis} out of range for ndim={ndim}")
     axis = int(axis)
 
-    def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
+    def profile(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
         factor = _power_rows(y[:, axis], deg, order)
-        return _times_axis_series(_bump(y, t0, order), factor, axis, ndim, order)
+        sources, terms = _axis_plan(ndim, order, axis, rows, len(factor))
+        return _times_axis_series(_bump(y, t0, order, sources), factor, terms)
 
     return TestFunction(ndim, f"bump_poly(R={R!r},deg={deg},axis={axis})", profile, R, (0.0,) * ndim)
 
@@ -393,9 +464,10 @@ def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
     R = _require_positive("R", R)
     omega = float(omega)
 
-    def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
+    def profile(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
         factor = _cos_rows(y[:, 0], omega, order)
-        return _times_axis_series(_bump(y, t0, order), factor, 0, ndim, order)
+        sources, terms = _axis_plan(ndim, order, 0, rows, len(factor))
+        return _times_axis_series(_bump(y, t0, order, sources), factor, terms)
 
     return TestFunction(ndim, f"bump_wave(R={R!r},omega={omega!r})", profile, R, (0.0,) * ndim)
 
@@ -406,8 +478,8 @@ def plateau(ndim: int, R: float = 1.0, rho: float = 0.5) -> TestFunction:
     if not (0.0 < rho < 1.0):
         raise BadParams(f"rho must lie strictly between 0 and 1, got {rho}")
 
-    def profile(y: np.ndarray, t0: np.ndarray, order: int) -> np.ndarray:
-        return _plateau(y, t0, order, rho)
+    def profile(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
+        return _plateau(y, t0, order, rows, rho)
 
     return TestFunction(ndim, f"plateau(R={R!r},rho={rho!r})", profile, R, (0.0,) * ndim)
 

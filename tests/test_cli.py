@@ -426,9 +426,13 @@ def test_removed_flags_rejected(argv, flag):
         (["derive", "--instance", "k=2,l=1,p=2,r=-2"], "error: instance needs n, k and l (missing 'n')"),
         (["oracle", "--holder", "--fn", "bump(R=1)"], "gninterp: error: --holder requires --p2"),
         (["oracle", "--lp", "--fn", "bump(R=1)"], "gninterp: error: --lp requires --p"),
+        (["oracle", "--holder", "--fn", "bump(R=1)", "--n", "1", "--p2", "3/2"],
+         "error: gamma must lie in (0, 1], got 3/2"),
+        (["oracle", "--lp", "--fn", "bump(R=1)", "--n", "1", "--p", "1/2"],
+         "error: p must satisfy 1 <= p < inf (use sup_norm for p = inf), got 1/2"),
     ],
     ids=["zero-exponent", "even-points", "instance-entry", "instance-key", "instance-orders",
-         "holder-without-p2", "lp-without-p"],
+         "holder-without-p2", "lp-without-p", "oracle-gamma-as-typed", "oracle-p-as-typed"],
 )
 def test_input_errors_exit_two(argv, message):
     code, out, err = run(argv)

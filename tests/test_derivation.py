@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gninterp import derivation
+from gninterp import derivation, testfn
 from gninterp.derivation import (
     RULE_BASE,
     RULE_INDUCT_DIAG,
@@ -44,7 +44,7 @@ from gninterp.errors import (
 )
 from gninterp.indices import InequalityInstance, solve_q
 from gninterp.interp import InterpolationTriple, check_interpolation
-from gninterp.norms import default_grid, xnorm
+from gninterp.norms import default_grid, sup_norm, xnorm
 from gninterp.testfn import bump, bump_poly, plateau
 
 from conftest import make_instance
@@ -429,6 +429,36 @@ class TestCertificates:
             parse_certificate(text)
 
 
+def _record_mesh_evaluations(monkeypatch):
+    """Patch both evaluators of ``TestFunction``; return the list each call appends
+    ``(function, kind, points, orders)`` to, kind "jet" or "fields"."""
+    calls = []
+    jet, fields = testfn.TestFunction.jet, testfn.TestFunction._max_abs_fields
+
+    def recording_jet(fn, points, order):
+        calls.append((fn, "jet", points, (order,)))
+        return jet(fn, points, order)
+
+    def recording_fields(fn, points, orders):
+        calls.append((fn, "fields", points, tuple(orders)))
+        return fields(fn, points, orders)
+
+    monkeypatch.setattr(testfn.TestFunction, "jet", recording_jet)
+    monkeypatch.setattr(testfn.TestFunction, "_max_abs_fields", recording_fields)
+    return calls
+
+
+def _mesh_evaluations(calls, fn, lp_grid, pair_grid):
+    """The recorded calls on ``fn`` whose points are one of its full meshes, as (mesh, kind, orders)."""
+    meshes = {"fine": lp_grid.refined().mesh(), "nodes": lp_grid.mesh(), "pair": pair_grid.mesh()}
+    out = []
+    for f, kind, points, orders in calls:
+        for name, mesh in meshes.items():
+            if f == fn and np.array_equal(points, mesh):
+                out.append((name, kind, orders))
+    return out
+
+
 class TestNumericWalk:
     def test_identity_steps_measure_one(self):
         inst = make_instance(1, 3, 2, F(-1, 2), F(-2), F(1))
@@ -467,6 +497,43 @@ class TestNumericWalk:
         with pytest.raises(BadParams, match="dimension 1.*n=2"):
             evaluate_chain(chain, bump(1))
 
+    def test_each_point_set_is_evaluated_once(self, monkeypatch):
+        # Slots: sup of order 1, Lebesgue norms of orders 2 and 3, Holder
+        # seminorms at orders 0 and 1 (sup order 1 is no Lebesgue order, so
+        # the lp nodes are evaluated on their own).
+        chain = derive_chain(make_instance(2, 3, 1, F(3, 4), F(-1, 2), F(2, 3)))
+        fn = bump_poly(2, deg=2).translate(0.1)
+        lp_grid = dataclasses.replace(default_grid(fn, "lp"), points_per_axis=65)
+        slots = [sl for sl, _ in evaluate_chain(chain, fn, lp_grid=lp_grid).norms]
+        calls = _record_mesh_evaluations(monkeypatch)
+        ev = evaluate_chain(chain, fn, lp_grid=lp_grid)
+        assert sorted(_mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
+            ("fine", "fields", (2, 3)),
+            ("nodes", "fields", (1,)),
+            ("pair", "jet", (1,)),
+        ]
+        monkeypatch.undo()
+        # Shared fields give each slot the value its own norm call gives.
+        assert [sl for sl, _ in ev.norms] == slots
+        for sl, nv in ev.norms:
+            alone = xnorm(fn, sl.scale, order=sl.order, mode="seminorm", lp_grid=lp_grid)
+            assert (nv.value, nv.error_estimate) == (alone.value, alone.error_estimate), sl
+
+    def test_sup_nodes_are_sliced_from_the_fine_field(self, monkeypatch):
+        # Sup of order 1 and Lebesgue norms of order 1: the lp nodes need no evaluation.
+        chain = derive_chain(make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2)))
+        fn = plateau(2, rho=0.5)
+        lp_grid = default_grid(fn, "lp")
+        calls = _record_mesh_evaluations(monkeypatch)
+        ev = evaluate_chain(chain, fn)
+        assert sorted(_mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
+            ("fine", "fields", (1, 2)),
+            ("pair", "jet", (0,)),
+        ]
+        monkeypatch.undo()
+        (sup,) = [nv for sl, nv in ev.norms if sl.scale == 0]
+        assert sup == sup_norm(fn, order=1)
+
     def test_walk_is_deterministic(self):
         inst = make_instance(1, 2, 1, F(1, 3), F(-1), F(1, 2))
         chain = derive_chain(inst)
@@ -494,20 +561,44 @@ class TestDilation:
         # At theta = 1 the factor N(0, sr) has weight 0 and is not measured.
         inst = make_instance(1, 2, 1, F(-1, 2), F(-2), F(1))
         calls = []
+        slot_norms = derivation._slot_norms
 
-        def recording(fn, s, order=0, **kw):
-            calls.append((order, s))
-            return xnorm(fn, s, order=order, **kw)
+        def recording(fn, slots, mode, *grids):
+            calls.append([(order, s) for s, order in slots])
+            return slot_norms(fn, slots, mode, *grids)
 
-        monkeypatch.setattr(derivation, "xnorm", recording)
+        monkeypatch.setattr(derivation, "_slot_norms", recording)
         points = dilation_sweep(inst, bump(1), [0.5, 1.0])
-        assert calls == [(1, inst.sq), (2, inst.sp)] * 2
+        assert calls == [[(1, inst.sq), (2, inst.sp)]] * 2
         assert all(math.isfinite(r) and r > 0 for _, r in points)
 
     def test_dimension_mismatch_rejected(self):
         inst = make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2))
         with pytest.raises(BadParams, match="dimension 3.*n=2"):
             dilation_sweep(inst, bump(3), [1.0])
+
+    def test_each_dilation_is_evaluated_once(self, monkeypatch):
+        # N(1, sq) and N(2, sp) are Lebesgue norms, N(0, sr) a Holder seminorm.
+        inst = make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2))
+        fn = bump(2)
+        calls = _record_mesh_evaluations(monkeypatch)
+        dilation_sweep(inst, fn, [0.5, 1.0, 2.0])
+        for lam in (0.5, 1.0, 2.0):
+            v = fn.dilate(lam)
+            evaluated = _mesh_evaluations(calls, v, default_grid(v, "lp"), default_grid(v, "pair"))
+            assert sorted(evaluated) == [("fine", "fields", (1, 2)), ("pair", "jet", (0,))], lam
+
+    @pytest.mark.parametrize("kind", ["lp", "pair"])
+    def test_explicit_grid_must_cover_the_dilated_support(self, kind):
+        # bump(1)'s grid has half-width 1.05; at lambda 0.5 the support has radius 2.
+        inst = make_instance(1, 2, 1, F(1, 2), F(-1, 2), F(3, 4))
+        grid = dataclasses.replace(default_grid(bump(1), kind), points_per_axis=257)
+        with pytest.raises(BadParams, match=f"{kind}_grid box .* does not cover .* at lambda=0.5"):
+            dilation_sweep(inst, bump(1), [0.5], **{f"{kind}_grid": grid})
+        # The same grid covers lambda 1 and 2, and any grid built on the dilation itself.
+        for lam in (1.0, 2.0):
+            dilation_sweep(inst, bump(1), [lam], **{f"{kind}_grid": grid})
+        dilation_sweep(inst, bump(1), [0.5], **{f"{kind}_grid": default_grid(bump(1).dilate(0.5), kind)})
 
     @pytest.mark.parametrize("kind", ["lp", "pair"])
     def test_explicit_grid_takes_one_lambda(self, kind):

@@ -11,9 +11,11 @@ from gninterp.errors import BadParams, GridTooCoarse, OracleTooLarge
 from gninterp.norms import (
     PAIR_POINT_CAP,
     GridSpec,
+    _clouds,
     _exact_order_components,
     _grid_pair_scan,
     _max_component_field,
+    _mesh,
     _pair_scan,
     _simpson_integral,
     brute_force_holder,
@@ -54,6 +56,28 @@ class TestGridSpec:
         assert default_grid(bump2, "pair").points_per_axis == 25
         with pytest.raises(ValueError, match="'pairs'"):
             default_grid(bump2, "pairs")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_clouds_equal_per_axis_linspace(n):
+    # One linspace over every centre and axis gives the per-axis calls' bytes.
+    rng = np.random.default_rng(n)
+    for count in (5, 9):
+        centers = rng.uniform(-2.0, 2.0, size=(400, n)) * 10.0 ** rng.integers(-3, 2, size=(400, 1))
+        h = rng.uniform(1e-6, 0.3, size=n)
+        want = []
+        for c in centers:
+            axes = [np.linspace(c[i] - h[i], c[i] + h[i], count) for i in range(n)]
+            want += [np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)]
+        assert _clouds(centers, h, count).tobytes() == np.concatenate(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 2, 6)])
+def test_mesh_equals_meshgrid(shape):
+    axes = [np.linspace(-1.0 - i, 0.5 + 0.25 * i, m) for i, m in enumerate(shape)]
+    want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    got = _mesh(axes)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSimpsonWhiteBox:
@@ -154,8 +178,16 @@ class TestLpNorm:
             calls.append(order)
             return jet(fn, points, order)
 
-        jet = testfn.TestFunction.jet
+        def counting_fields(fn, points, orders):
+            calls.append(tuple(orders))
+            return fields(fn, points, orders)
+
+        jet, fields = testfn.TestFunction.jet, testfn.TestFunction._max_abs_fields
         monkeypatch.setattr(testfn.TestFunction, "jet", counting)
+        monkeypatch.setattr(testfn.TestFunction, "_max_abs_fields", counting_fields)
+        lp_norm(bump1, 2, order=2, grid=GridSpec((-1.05,), (1.05,), 65))
+        assert calls == [(2,)]  # the counter sees the evaluation an odd grid makes
+        calls.clear()
         with pytest.raises(BadParams, match="odd point count, got 64"):
             lp_norm(bump1, 2, order=2, grid=GridSpec((-1.05,), (1.05,), 64))
         assert calls == []

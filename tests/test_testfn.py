@@ -1,5 +1,7 @@
 """Family functions, their jets and their descriptor grammar."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -267,3 +269,37 @@ class TestJetBlocks:
             jet = plateau(n).jet(np.empty((0, n)), order)
             assert list(jet) == list(multi_indices(n, order))
             assert all(row.shape == (0,) for row in jet.values())
+
+
+class TestMaxAbsFields:
+    """The norms' kernel against the reference: abs-max over the jet's rows of each order."""
+
+    @staticmethod
+    def _reference(fn, x, order):
+        jet = fn.jet(x, order)
+        rows = [np.abs(v) for alpha, v in jet.items() if sum(alpha) == order]
+        return functools.reduce(np.maximum, rows)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_order_set_equals_jet_abs_max(self, n, name):
+        # A translated, dilated and scaled frame; the box reaches past the
+        # support, and the points span more than one block.
+        fn, _ = _framed(name, n, FRAMES[1])
+        lo, hi = fn.bounding_box(1.1)
+        x = lo + (hi - lo) * np.random.default_rng(n).random((testfn._JET_BLOCK + 1001, n))
+        value = self._reference(fn, x, 0)
+        assert (value == 0.0).any() and (value > 0.0).any()
+        want = {m: self._reference(fn, x, m).tobytes() for m in range(MAX_JET_ORDER + 1)}
+        for size in range(1, MAX_JET_ORDER + 2):
+            for orders in itertools.combinations(range(MAX_JET_ORDER + 1), size):
+                got = fn._max_abs_fields(x, orders)
+                assert list(got) == list(orders)
+                for m in orders:
+                    assert got[m].tobytes() == want[m], (orders, m)
+
+    def test_rejects_orders_outside_the_jet_range(self):
+        fn = bump(2)
+        for orders in [(2, MAX_JET_ORDER + 1), (-1,)]:
+            with pytest.raises(JetOrderOverflow):
+                fn._max_abs_fields(np.zeros((1, 2)), orders)
