@@ -8,8 +8,8 @@ certificate file, ``oracle`` compares the fast norm paths against their
 brute-force references.
 
 Exit codes: 0 success, 1 mathematical violation, 2 parse or config errors.
-Machine output is CSV with a comment header naming version, seed, and config
-source; nothing is written to stderr on success.
+Machine output is CSV with a comment header naming version and config source;
+nothing is written to stderr on success.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .derivation import (
-    derive_chain,
-    describe_step,
-    dilation_sweep,
-    format_certificate,
-    parse_certificate,
-)
+from .derivation import derive_chain, describe_step, format_certificate, parse_certificate
 from .errors import BadParams, BrokenChain, GNInterpError, InternalBorderline
 from .indices import (
     InequalityInstance,
@@ -39,7 +33,8 @@ from .indices import (
     solve_missing,
     validate_instance,
 )
-from .interp import InterpolationTriple, check_interpolation
+from .interp import InterpolationTriple
+from .measure import check_interpolation, dilation_sweep
 from .norms import (
     GridSpec,
     brute_force_holder,
@@ -54,7 +49,7 @@ from .testfn import parse_testfn
 ENV_CONFIG = "GNINTERP_CONFIG"
 
 # Config keys and the parser of each value.
-_CONFIG_KEYS = {"points": int, "pair_points": int, "tolerance_ratio": float, "seed": int, "out": str}
+_CONFIG_KEYS = {"points": int, "pair_points": int, "tolerance_ratio": float, "out": str}
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,6 @@ class RunConfig:
     points: Optional[int] = None
     pair_points: Optional[int] = None
     tolerance_ratio: float = 0.01
-    seed: int = 0
     out: Optional[str] = None
     source: str = "-"
 
@@ -195,7 +189,7 @@ def _format_cell(value) -> str:
 
 
 def _emit(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [f"# gninterp {__version__} seed={cfg.seed} config={cfg.source}"]
+    lines = [f"# gninterp {__version__} config={cfg.source}"]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_format_cell(v) for v in row))
@@ -343,7 +337,6 @@ def _add_common(sub: argparse.ArgumentParser, points: bool = True) -> None:
     if points:
         sub.add_argument("--points", type=int, help="integration grid points per axis (odd)")
         sub.add_argument("--pair-points", dest="pair_points", type=int, help="pair-scan grid points per axis")
-    sub.add_argument("--seed", type=int, help="seed recorded in output headers")
 
 
 def build_parser() -> argparse.ArgumentParser:

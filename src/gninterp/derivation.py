@@ -7,7 +7,8 @@ joins the legs.  Every step records exact rational slot algebra (which norms
 enter, with which exponents).  :func:`verify_chain` is the one consistency
 check on an assembled chain: it re-verifies that algebra independently of
 how the chain was produced, and whether the chain resolves to the
-instance's slots.  Any chain can be measured numerically on a sample
+instance's slots.  Only the standard library is used here;
+:func:`gninterp.measure.evaluate_chain` measures a chain on a sample
 function, slot by slot.
 """
 
@@ -17,9 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Collection, Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Collection, Optional, Sequence
 
 from .errors import (
     BadCertificate,
@@ -37,9 +36,7 @@ from .indices import (
     sobolev_sharp,
     structural_violations,
 )
-from .interp import InterpolationTriple, _same_dimension, _verdict, classify_triple
-from .norms import GridSpec, NormValue, _slot_norms
-from .testfn import TestFunction
+from .interp import InterpolationTriple, classify_triple
 
 RULE_SOBOLEV = "SOBOLEV_STEP"
 RULE_IDENTITY = "HOLDER_IDENTITY"
@@ -464,161 +461,6 @@ def derive_chain(inst: InequalityInstance) -> ProofChain:
     chain = ProofChain(instance=inst, steps=steps)
     verify_chain(chain)
     return chain
-
-
-# --- numerical evaluation -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepMeasurement:
-    """One step measured on a sample function."""
-
-    step: Step
-    lhs: NormValue
-    rhs: float
-    ratio: float
-    rel_error: float
-    violation: bool
-
-
-@dataclass(frozen=True)
-class ChainEvaluation:
-    """A chain measured slot by slot on one sample function."""
-
-    chain: ProofChain
-    norms: tuple[tuple[Slot, NormValue], ...]
-    steps: tuple[StepMeasurement, ...]
-    end_ratio: float
-
-    @property
-    def violations(self) -> tuple[StepMeasurement, ...]:
-        return tuple(m for m in self.steps if m.violation)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _end_slots(inst: InequalityInstance, sq: Fraction) -> list[Slot]:
-    """The slots of N(l, sq) / (N(k, sp)^theta * N(0, sr)^(1 - theta)); N(0, sr) is not measured at theta = 1."""
-    return [Slot(inst.l, sq), Slot(inst.k, inst.sp)] + ([Slot(0, inst.sr)] if inst.theta != 1 else [])
-
-
-def _end_ratio(inst: InequalityInstance, norms: Mapping[Slot, NormValue], sq: Fraction) -> float:
-    lhs, top, *low = (norms[sl] for sl in _end_slots(inst, sq))
-    factors = [(top, inst.theta)] + [(nv, 1 - inst.theta) for nv in low]
-    return _verdict(lhs, factors, None)[1]
-
-
-def _measure(
-    fn: TestFunction, slots: Sequence[Slot], lp_grid: GridSpec | None, pair_grid: GridSpec | None
-) -> dict[Slot, NormValue]:
-    """Seminorm of every slot, all read from one evaluation of ``fn``'s fields."""
-    values = _slot_norms(fn, [(sl.scale, sl.order) for sl in slots], "seminorm", lp_grid, pair_grid)
-    return dict(zip(slots, values))
-
-
-def evaluate_chain(
-    chain: ProofChain,
-    fn: TestFunction,
-    lp_grid: GridSpec | None = None,
-    pair_grid: GridSpec | None = None,
-) -> ChainEvaluation:
-    """Measure every step of a chain on one sample function, in seminorms.
-
-    A step with an explicit constant is flagged as a violation when the
-    verdict of :func:`gninterp.interp._verdict` fails.  Empirical steps are
-    measured but never flagged.  A function whose dimension is not the
-    instance's raises BadParams.  Every slot reads one set of fields: each
-    point set is evaluated once, at the orders the slots read.
-
-    Known limitation: a ``ck_step`` interpolation step is measured here in
-    pair seminorms, while its factor-2 constant is stated for whole-derivative
-    sups, which :func:`gninterp.interp.check_interpolation` measures.  On
-    ``bump(1)`` the two readings differ by about 1e-5 relative.
-    """
-    inst = chain.instance
-    _same_dimension(inst.n, fn)
-    slots = {st.output for st in chain.steps} | {sl for st in chain.steps for sl in st.inputs}
-    slots |= set(_end_slots(inst, inst.sq))
-    ordered = sorted(slots, key=lambda sl: (sl.order, sl.scale))
-    norms = _measure(fn, ordered, lp_grid, pair_grid)
-
-    measured = []
-    for step in chain.steps:
-        lhs = norms[step.output]
-        factors = [(norms[sl], e) for sl, e in zip(step.inputs, step.exponents)]
-        rhs, ratio, rel, ok = _verdict(lhs, factors, step.constant)
-        measured.append(StepMeasurement(step, lhs, rhs, ratio, rel, ok is False))
-
-    return ChainEvaluation(
-        chain=chain,
-        norms=tuple((sl, norms[sl]) for sl in ordered),
-        steps=tuple(measured),
-        end_ratio=_end_ratio(inst, norms, inst.sq),
-    )
-
-
-def _covers(grid: GridSpec, fn: TestFunction) -> bool:
-    """Whether ``grid``'s box contains ``fn``'s support box."""
-    lo, hi = fn.bounding_box()
-    return grid.ndim == fn.ndim and all(np.less_equal(grid.lo, lo)) and all(np.greater_equal(grid.hi, hi))
-
-
-def dilation_sweep(
-    inst: InequalityInstance,
-    fn: TestFunction,
-    lambdas: Iterable[float],
-    sq_shift: Fraction | int | str = 0,
-    lp_grid: GridSpec | None = None,
-    pair_grid: GridSpec | None = None,
-) -> list[tuple[float, float]]:
-    """End-to-end seminorm ratio across rescalings u(lambda x) of the sample.
-
-    With the balance intact the ratio is invariant in lambda.  ``sq_shift``
-    perturbs the target scale by an exact rational, which tilts the log-log
-    curve to slope -n * shift: a direct check that the balance is the only
-    exponent relation the ratio tolerates.  A function whose dimension is
-    not the instance's raises BadParams.
-
-    A grid fits the box of the one dilation it was built on: with ``lp_grid``
-    or ``pair_grid`` set, ``lambdas`` must hold one value, and each grid must
-    cover the support box of ``fn.dilate(lam)``, else BadParams.  Without
-    grids every dilation gets its default grids.  Each dilation's slots read
-    one set of fields.
-    """
-    _same_dimension(inst.n, fn)
-    lambdas = list(lambdas)
-    if len(lambdas) > 1 and (lp_grid, pair_grid) != (None, None):
-        raise BadParams(f"a grid fits one dilation's box: pass one lambda per call, got {len(lambdas)} lambdas")
-    sq = inst.sq + as_rational(sq_shift)
-    dilated = [(float(lam), fn.dilate(lam)) for lam in lambdas]
-    for lam, v in dilated:
-        for name, grid in (("lp_grid", lp_grid), ("pair_grid", pair_grid)):
-            if grid is not None and not _covers(grid, v):
-                lo, hi = v.bounding_box()
-                raise BadParams(
-                    f"{name} box {grid.lo}..{grid.hi} does not cover the support box "
-                    f"{tuple(lo.tolist())}..{tuple(hi.tolist())} at lambda={lam!r}; build it on fn.dilate(lam)"
-                )
-    return [(lam, _end_ratio(inst, _measure(v, _end_slots(inst, sq), lp_grid, pair_grid), sq)) for lam, v in dilated]
-
-
-def dilation_slope(sweep: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of log(ratio) against log(lambda).
-
-    Raises BadParams unless every lambda and every ratio is finite and
-    positive and at least two lambdas are distinct.
-    """
-    lams = [float(lam) for lam, _ in sweep]
-    ratios = [float(r) for _, r in sweep]
-    if not all(math.isfinite(x) and x > 0 for x in lams) or len(set(lams)) < 2:
-        raise BadParams(f"a slope needs at least two distinct finite positive lambdas, got {lams}")
-    bad = [(lam, r) for lam, r in zip(lams, ratios) if not (math.isfinite(r) and r > 0)]
-    if bad:
-        lam, r = bad[0]
-        raise BadParams(f"ratio {r} at lambda {lam} has no logarithm: ratios must be finite and positive")
-    return float(np.polyfit(np.log(lams), np.log(ratios), 1)[0])
 
 
 # --- certificates -------------------------------------------------------------

@@ -116,11 +116,6 @@ def holder_signature(idx: SpaceIndex) -> HolderSignature:
     return HolderSignature(p1=p1, p2=Fraction(-na - p1 * b, b))
 
 
-def signature_index(sig: HolderSignature, n: int) -> SpaceIndex:
-    """Inverse of :func:`holder_signature`: s = -(p1 + p2)/n."""
-    return SpaceIndex(s=-Fraction(sig.p1 + sig.p2, 1) / n, n=n)
-
-
 def sobolev_sharp(idx: SpaceIndex) -> SpaceIndex:
     """Index after one derivative is given up: s* = s - 1/n.
 

@@ -26,11 +26,9 @@ Case taxonomy (precedence order):
 * ``composite``: everything else; the span is cut at every signature boundary
   (and at 0 when crossing) and the pieces are chained by reiteration.
 
-Every measured inequality ``N(out) <= C * prod N(in)^e`` (a triple here, a
-chain step or an end ratio in :mod:`gninterp.derivation`) gets one verdict:
-the ratio ``N(out) / prod N(in)^e`` is 1 when both sides are 0 and infinite
-when only the product is, and it holds when ``ratio <= C * (1 + rel + slack)``
-with ``rel`` the exponent-weighted sum of relative error estimates.
+Only the standard library is used here;
+:func:`gninterp.measure.check_interpolation` measures a triple on a sample
+function.
 """
 
 from __future__ import annotations
@@ -42,41 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import BadParams, IntegralDiverges, NotInterpolable
+from .errors import IntegralDiverges, NotInterpolable
 from .indices import Rational, SpaceIndex, as_rational, holder_signature
-from .norms import GridSpec, NormValue, sup_norm, xnorm
-from .testfn import TestFunction
-
-# Relative slack added to the propagated grid errors before a measured ratio
-# counts as exceeding an explicit constant.
-VERDICT_SLACK = 1e-9
-
-
-def _verdict(
-    lhs: NormValue, factors: Sequence[tuple[NormValue, Fraction]], bound: Optional[float]
-) -> tuple[float, float, float, Optional[bool]]:
-    """``(rhs, ratio, rel, ok)`` for ``lhs <= bound * prod(nv^e for nv, e in factors)``.
-
-    ``ratio = lhs / rhs`` is 1 when both sides are 0 and infinite when only
-    ``rhs`` is. ``rel`` sums the relative error estimates, each weighted by
-    its exponent. ``ok`` is None without a bound.
-    """
-    rhs = 1.0
-    for nv, e in factors:
-        rhs *= nv.value ** float(e)
-    weighted = ((lhs, 1), *factors)
-    rel = sum((float(e) * (nv.error_estimate / nv.value) for nv, e in weighted if nv.value > 0), 0.0)
-    ratio = lhs.value / rhs if rhs > 0 else (math.inf if lhs.value > 0 else 1.0)
-    ok = None if bound is None else bool(ratio <= bound * (1 + rel + VERDICT_SLACK))
-    return rhs, ratio, rel, ok
-
-
-def _same_dimension(n: int, fn: TestFunction) -> None:
-    """Raise BadParams unless ``fn`` lives in dimension ``n``."""
-    if fn.ndim != n:
-        raise BadParams(f"sample function has dimension {fn.ndim}, but the inequality has n={n}")
 
 
 class InterpCase(str, Enum):
@@ -291,92 +256,3 @@ def mixed_case_constant(n: int, left: Rational, right: Rational) -> float:
     m = mixed_case_integral(n, lam2, p)
     expo = -float(right * (1 - eta))
     return (n * unit_ball_volume(n) * m) ** expo
-
-
-# -- elementary split bound ---------------------------------------------------
-
-
-def split_sum_inequality(a: Sequence[float], b: Sequence[float], eta: float) -> tuple[float, float]:
-    """Termwise vs summed geometric mixing of two nonnegative sequences.
-
-    Returns ``(sum_i a_i^eta * b_i^(1-eta), (sum a)^eta * (sum b)^(1-eta))``;
-    the first never exceeds the second. This is what lets per-component
-    seminorm sups be summed without losing the interpolation exponent.
-    """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise BadParams("sequences must have equal length")
-    if np.any(av < 0) or np.any(bv < 0):
-        raise BadParams("sequences must be nonnegative")
-    if not (0.0 <= eta <= 1.0):
-        raise BadParams(f"eta must lie in [0, 1], got {eta}")
-    lhs = float(np.sum(av**eta * bv ** (1.0 - eta)))
-    rhs = float(np.sum(av)) ** eta * float(np.sum(bv)) ** (1.0 - eta)
-    return lhs, rhs
-
-
-# -- numerical checking -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InterpolationReport:
-    triple: InterpolationTriple
-    classification: Classification
-    mid_norm: NormValue
-    left_norm: NormValue
-    right_norm: NormValue
-    ratio: float
-    bound: Optional[float]
-    ok: Optional[bool]
-    rel_error: float
-
-
-def check_interpolation(
-    t: InterpolationTriple,
-    fn: TestFunction,
-    mode: str = "seminorm",
-    lp_grid: GridSpec | None = None,
-    pair_grid: GridSpec | None = None,
-) -> InterpolationReport:
-    """Measure the interpolation ratio for one function and compare it to the
-    classified bound (when one exists).
-
-    ``ratio = mid / (left^eta * right^(1-eta))`` with all three norms taken
-    in the requested mode; ``ck_step`` triples take whole-derivative sup
-    norms instead. ``ok`` is None for cases without a quantitative bound,
-    else the verdict of :func:`_verdict`. A function whose dimension is not
-    ``t.n`` raises BadParams.
-    """
-    _same_dimension(t.n, fn)
-    cls = classify_triple(t)
-
-    def measure(s: Fraction) -> NormValue:
-        if cls.case is InterpCase.CK_STEP:
-            # Integer scales mean whole-derivative sup norms; the factor-2 bound
-            # is a statement about those, not about the pair-scan seminorms.
-            return sup_norm(fn, order=int(-t.n * s), grid=lp_grid)
-        return xnorm(fn, s, mode=mode, lp_grid=lp_grid, pair_grid=pair_grid)
-
-    mid, left, right = measure(t.mid), measure(t.left), measure(t.right)
-    _, ratio, rel, ok = _verdict(mid, ((left, t.eta), (right, 1 - t.eta)), cls.bound)
-    return InterpolationReport(t, cls, mid, left, right, ratio, cls.bound, ok, rel)
-
-
-def ck_interpolation_check(
-    fn: TestFunction,
-    orders: tuple[int, int, int],
-    grid: GridSpec | None = None,
-) -> InterpolationReport:
-    """Interpolation of sup norms of whole derivatives.
-
-    ``orders`` is (high, middle, low) with high > middle > low >= 0. The
-    one-step case (j+1, j, j-1) carries the factor-2 line-restriction bound;
-    wider gaps are measured without a reference constant.
-    """
-    k1, k2, k3 = orders
-    if not (k1 > k2 > k3 >= 0):
-        raise NotInterpolable(f"orders must decrease strictly, got {orders}")
-    n = fn.ndim
-    t = InterpolationTriple(n, Fraction(-k1, n), Fraction(-k2, n), Fraction(-k3, n))
-    return check_interpolation(t, fn, lp_grid=grid)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Dict, Mapping, Sequence
@@ -88,6 +89,14 @@ def _mesh(axes: Sequence[np.ndarray]) -> np.ndarray:
     return out.reshape(-1, ndim)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` by ``operator.index``: numpy integers pass, floats raise BadParams."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParams(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform tensor grid on a box, the same point count along every axis."""
@@ -97,6 +106,7 @@ class GridSpec:
     points_per_axis: int
 
     def __post_init__(self):
+        object.__setattr__(self, "points_per_axis", _integer(self.points_per_axis, "points per axis"))
         if len(self.lo) != len(self.hi):
             raise BadParams("lo and hi have different lengths")
         if self.points_per_axis < 3:
@@ -564,9 +574,13 @@ def holder_seminorm(
     around both endpoints, all pairs among the combined cloud, spacing shrunk
     4x per round. With ``refinements=0`` the value equals
     :func:`brute_force_holder` on the same grid bit for bit, a property the
-    tests check, not one shared code guarantees.
+    tests check, not one shared code guarantees. A negative or non-integer
+    ``refinements`` raises BadParams.
     """
     gamma = _gamma(gamma)
+    refinements = _integer(refinements, "refinements")
+    if refinements < 0:
+        raise BadParams(f"refinements must be >= 0, got {refinements}")
     return _seminorm_value(_Fields(fn, pair_grid=grid, pair=(order,)), order, gamma, refinements)
 
 

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gninterp import bump, solve_q
+from gninterp import bump, solve_q, testfn
 from gninterp.indices import InequalityInstance
 
 
@@ -21,6 +22,36 @@ def make_instance(n, k, l, sp, sr, theta) -> InequalityInstance:
     sp, sr, theta = Fraction(sp), Fraction(sr), Fraction(theta)
     sq = solve_q(n, k, l, sp, sr, theta)
     return InequalityInstance(n=n, k=k, l=l, sp=sp, sq=sq, sr=sr, theta=theta)
+
+
+def record_mesh_evaluations(monkeypatch):
+    """Patch both evaluators of ``TestFunction``; return the list each call appends
+    ``(function, kind, points, orders)`` to, kind "jet" or "fields"."""
+    calls = []
+    jet, fields = testfn.TestFunction.jet, testfn.TestFunction._max_abs_fields
+
+    def recording_jet(fn, points, order):
+        calls.append((fn, "jet", points, (order,)))
+        return jet(fn, points, order)
+
+    def recording_fields(fn, points, orders):
+        calls.append((fn, "fields", points, tuple(orders)))
+        return fields(fn, points, orders)
+
+    monkeypatch.setattr(testfn.TestFunction, "jet", recording_jet)
+    monkeypatch.setattr(testfn.TestFunction, "_max_abs_fields", recording_fields)
+    return calls
+
+
+def mesh_evaluations(calls, fn, lp_grid, pair_grid):
+    """The recorded calls on ``fn`` whose points are one of its full meshes, as (mesh, kind, orders)."""
+    meshes = {"fine": lp_grid.refined().mesh(), "nodes": lp_grid.mesh(), "pair": pair_grid.mesh()}
+    out = []
+    for f, kind, points, orders in calls:
+        for name, mesh in meshes.items():
+            if f == fn and np.array_equal(points, mesh):
+                out.append((name, kind, orders))
+    return out
 
 
 # One line per acceptance criterion, echoed after the test summary so the

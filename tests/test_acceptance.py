@@ -13,14 +13,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from gninterp.derivation import (
-    derive_chain,
-    dilation_slope,
-    dilation_sweep,
-    evaluate_chain,
-    format_certificate,
-    verify_chain,
-)
+from gninterp.derivation import derive_chain, format_certificate, verify_chain
 from gninterp.errors import InternalBorderline
 from gninterp.indices import (
     InequalityInstance,
@@ -32,10 +25,12 @@ from gninterp.indices import (
     solve_theta,
     validate_instance,
 )
-from gninterp.interp import (
-    InterpolationTriple,
+from gninterp.interp import InterpolationTriple, reiteration_theta
+from gninterp.measure import (
     check_interpolation,
-    reiteration_theta,
+    dilation_slope,
+    dilation_sweep,
+    evaluate_chain,
     split_sum_inequality,
 )
 from gninterp.norms import (

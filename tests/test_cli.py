@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from gninterp.cli import ENV_CONFIG, load_config, main, parse_instance
-from gninterp.derivation import dilation_sweep, parse_certificate
+from gninterp.derivation import parse_certificate
+from gninterp.measure import dilation_sweep
 from gninterp.norms import default_grid, xnorm
 from gninterp.testfn import bump, parse_testfn
 
@@ -25,7 +26,7 @@ def run(argv):
 
 def csv_rows(text):
     lines = text.strip().splitlines()
-    assert lines[0].startswith("# gninterp 0.1.0 seed=")
+    assert lines[0].startswith("# gninterp 0.1.0 config=")
     header = lines[1].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[2:]]
 
@@ -203,7 +204,7 @@ class TestSweep:
 
     def test_non_positive_config_tolerance_rejected(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 3\ntolerance_ratio = -1\n")
+        cfg.write_text("points = 65\ntolerance_ratio = -1\n")
         monkeypatch.setenv(ENV_CONFIG, str(cfg))
         code, out, err = run(["sweep", "--instance", "n=1,k=2,l=1,p=2,r=-2,theta=3/4"])
         assert code == 2
@@ -348,24 +349,27 @@ class TestOracle:
 class TestConfig:
     def test_env_config_is_honored(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("points = 65\nseed = 7\n")
+        cfg.write_text("points = 65\n")
         monkeypatch.setenv(ENV_CONFIG, str(cfg))
         code, out, _ = run(
             ["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--order", "0"]
         )
         assert code == 0
-        assert out.splitlines()[0] == f"# gninterp 0.1.0 seed=7 config={cfg}"
+        assert out.splitlines()[0] == f"# gninterp 0.1.0 config={cfg}"
+        (row,) = csv_rows(out)
+        grid = replace(default_grid(bump(1)), points_per_axis=65)
+        assert row["value"] == repr(xnorm(bump(1), F(1, 2), lp_grid=grid).value)
 
     def test_flag_overrides_config(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 7\n")
+        cfg.write_text("points = 33\n")
         monkeypatch.setenv(ENV_CONFIG, str(cfg))
         code, out, _ = run(
-            ["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2",
-             "--order", "0", "--seed", "11"]
+            ["oracle", "--lp", "--fn", "bump(R=1.0)", "--n", "1", "--p", "2", "--points", "65"]
         )
         assert code == 0
-        assert "seed=11" in out.splitlines()[0]
+        (row,) = csv_rows(out)
+        assert row["points"] == "65"
 
     def test_oracle_reads_config_points(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -375,14 +379,14 @@ class TestConfig:
             ["oracle", "--lp", "--fn", "bump(R=1.0)", "--n", "1", "--p", "2"]
         )
         assert code == 0
-        assert out.splitlines()[0] == f"# gninterp 0.1.0 seed=0 config={cfg}"
+        assert out.splitlines()[0] == f"# gninterp 0.1.0 config={cfg}"
         (row,) = csv_rows(out)
         assert row["points"] == "33"
 
     def test_unknown_key_rejected(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         monkeypatch.setenv(ENV_CONFIG, str(cfg))
-        for line in ("gridpoints = 65", "threads = 2"):
+        for line in ("gridpoints = 65", "threads = 2", "seed = 7"):
             cfg.write_text(line + "\n")
             code, _, err = run(
                 ["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--order", "0"]
@@ -406,6 +410,7 @@ class TestConfig:
         (["sweep", "--instance", "n=1,k=2,l=1,p=2,r=-2,theta=3/4", "--seminorm"], "--seminorm"),
         (["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "1/2", "--tolerance-ratio", "5"],
          "--tolerance-ratio 5"),
+        (["norm", "--fn", "bump(R=1.0)", "--n", "1", "--s", "0", "--seed", "11"], "--seed 11"),
     ],
 )
 def test_removed_flags_rejected(argv, flag):

@@ -4,10 +4,9 @@ import dataclasses
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
-from gninterp import derivation, testfn
+from gninterp import measure
 from gninterp.derivation import (
     RULE_BASE,
     RULE_INDUCT_DIAG,
@@ -24,9 +23,6 @@ from gninterp.derivation import (
     chain_constant,
     derive_chain,
     describe_step,
-    dilation_slope,
-    dilation_sweep,
-    evaluate_chain,
     format_certificate,
     parse_certificate,
     sobolev_chain,
@@ -43,11 +39,12 @@ from gninterp.errors import (
     InvalidInstance,
 )
 from gninterp.indices import InequalityInstance, solve_q
-from gninterp.interp import InterpolationTriple, check_interpolation
+from gninterp.interp import InterpolationTriple
+from gninterp.measure import check_interpolation, dilation_slope, dilation_sweep, evaluate_chain
 from gninterp.norms import default_grid, sup_norm, xnorm
 from gninterp.testfn import bump, bump_poly, plateau
 
-from conftest import make_instance
+from conftest import make_instance, mesh_evaluations, record_mesh_evaluations
 
 GOLDEN_INSTANCE = InequalityInstance(3, 2, 1, F(1, 2), F(1, 12), F(-1, 3), F(1, 2))
 
@@ -429,36 +426,6 @@ class TestCertificates:
             parse_certificate(text)
 
 
-def _record_mesh_evaluations(monkeypatch):
-    """Patch both evaluators of ``TestFunction``; return the list each call appends
-    ``(function, kind, points, orders)`` to, kind "jet" or "fields"."""
-    calls = []
-    jet, fields = testfn.TestFunction.jet, testfn.TestFunction._max_abs_fields
-
-    def recording_jet(fn, points, order):
-        calls.append((fn, "jet", points, (order,)))
-        return jet(fn, points, order)
-
-    def recording_fields(fn, points, orders):
-        calls.append((fn, "fields", points, tuple(orders)))
-        return fields(fn, points, orders)
-
-    monkeypatch.setattr(testfn.TestFunction, "jet", recording_jet)
-    monkeypatch.setattr(testfn.TestFunction, "_max_abs_fields", recording_fields)
-    return calls
-
-
-def _mesh_evaluations(calls, fn, lp_grid, pair_grid):
-    """The recorded calls on ``fn`` whose points are one of its full meshes, as (mesh, kind, orders)."""
-    meshes = {"fine": lp_grid.refined().mesh(), "nodes": lp_grid.mesh(), "pair": pair_grid.mesh()}
-    out = []
-    for f, kind, points, orders in calls:
-        for name, mesh in meshes.items():
-            if f == fn and np.array_equal(points, mesh):
-                out.append((name, kind, orders))
-    return out
-
-
 class TestNumericWalk:
     def test_identity_steps_measure_one(self):
         inst = make_instance(1, 3, 2, F(-1, 2), F(-2), F(1))
@@ -505,9 +472,9 @@ class TestNumericWalk:
         fn = bump_poly(2, deg=2).translate(0.1)
         lp_grid = dataclasses.replace(default_grid(fn, "lp"), points_per_axis=65)
         slots = [sl for sl, _ in evaluate_chain(chain, fn, lp_grid=lp_grid).norms]
-        calls = _record_mesh_evaluations(monkeypatch)
+        calls = record_mesh_evaluations(monkeypatch)
         ev = evaluate_chain(chain, fn, lp_grid=lp_grid)
-        assert sorted(_mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
+        assert sorted(mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
             ("fine", "fields", (2, 3)),
             ("nodes", "fields", (1,)),
             ("pair", "jet", (1,)),
@@ -524,9 +491,9 @@ class TestNumericWalk:
         chain = derive_chain(make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2)))
         fn = plateau(2, rho=0.5)
         lp_grid = default_grid(fn, "lp")
-        calls = _record_mesh_evaluations(monkeypatch)
+        calls = record_mesh_evaluations(monkeypatch)
         ev = evaluate_chain(chain, fn)
-        assert sorted(_mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
+        assert sorted(mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
             ("fine", "fields", (1, 2)),
             ("pair", "jet", (0,)),
         ]
@@ -561,13 +528,13 @@ class TestDilation:
         # At theta = 1 the factor N(0, sr) has weight 0 and is not measured.
         inst = make_instance(1, 2, 1, F(-1, 2), F(-2), F(1))
         calls = []
-        slot_norms = derivation._slot_norms
+        slot_norms = measure._slot_norms
 
         def recording(fn, slots, mode, *grids):
             calls.append([(order, s) for s, order in slots])
             return slot_norms(fn, slots, mode, *grids)
 
-        monkeypatch.setattr(derivation, "_slot_norms", recording)
+        monkeypatch.setattr(measure, "_slot_norms", recording)
         points = dilation_sweep(inst, bump(1), [0.5, 1.0])
         assert calls == [[(1, inst.sq), (2, inst.sp)]] * 2
         assert all(math.isfinite(r) and r > 0 for _, r in points)
@@ -581,11 +548,11 @@ class TestDilation:
         # N(1, sq) and N(2, sp) are Lebesgue norms, N(0, sr) a Holder seminorm.
         inst = make_instance(2, 2, 1, F(3, 4), F(-1, 2), F(1, 2))
         fn = bump(2)
-        calls = _record_mesh_evaluations(monkeypatch)
+        calls = record_mesh_evaluations(monkeypatch)
         dilation_sweep(inst, fn, [0.5, 1.0, 2.0])
         for lam in (0.5, 1.0, 2.0):
             v = fn.dilate(lam)
-            evaluated = _mesh_evaluations(calls, v, default_grid(v, "lp"), default_grid(v, "pair"))
+            evaluated = mesh_evaluations(calls, v, default_grid(v, "lp"), default_grid(v, "pair"))
             assert sorted(evaluated) == [("fine", "fields", (1, 2)), ("pair", "jet", (0,))], lam
 
     @pytest.mark.parametrize("kind", ["lp", "pair"])

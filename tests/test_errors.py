@@ -17,7 +17,8 @@ from gninterp.derivation import (
 )
 from gninterp.errors import BadParams, BrokenChain, DslSyntaxError, GNInterpError, InvalidBase
 from gninterp.indices import HolderSignature, InequalityInstance, SpaceIndex
-from gninterp.interp import split_sum_inequality
+from gninterp.interp import InterpolationTriple
+from gninterp.measure import check_interpolation, split_sum_inequality
 from gninterp.norms import GridSpec, brute_force_holder, default_grid, holder_seminorm, lp_norm, xnorm
 from gninterp.testfn import bump, bump_poly, parse_testfn
 
@@ -108,6 +109,25 @@ INPUT_CHECKS = {
         lambda: parse_testfn("bump(R=1)*translate()", 1), DslSyntaxError, "translate needs at least one coordinate"
     ),
     "dsl-amp": (lambda: parse_testfn("bump(R=1)*amp(1,2)", 1), DslSyntaxError, "amp takes one factor"),
+    # A whole float is no point count: numpy's linspace would raise a bare TypeError later.
+    "grid-points-whole-float": (
+        lambda: GridSpec((-1.1,), (1.1,), 5.0), BadParams, "points per axis must be an integer, got 5.0"
+    ),
+    "grid-points-float": (
+        lambda: GridSpec((-1.1,), (1.1,), 4.5), BadParams, "points per axis must be an integer, got 4.5"
+    ),
+    "refinements-float": (
+        lambda: holder_seminorm(bump(1), 0, 0.5, refinements=2.0), BadParams, "refinements must be an integer, got 2.0"
+    ),
+    "refinements-negative": (
+        lambda: holder_seminorm(bump(1), 0, 0.5, refinements=-2), BadParams, "refinements must be >= 0, got -2"
+    ),
+    # A ck_step triple reads whole-derivative sups, in either mode; any other mode is an error.
+    "ck-step-mode": (
+        lambda: check_interpolation(InterpolationTriple(1, F(-2), F(-1), F(0)), bump(1), mode="bogus"),
+        BadParams,
+        "mode must be 'full' or 'seminorm', got 'bogus'",
+    ),
 }
 
 

@@ -20,8 +20,6 @@ from gninterp.interp import (
     InterpCase,
     _eliminate_to_triple,
     InterpolationTriple,
-    check_interpolation,
-    ck_interpolation_check,
     classify_triple,
     composite_nodes,
     holder_step_constant,
@@ -30,11 +28,13 @@ from gninterp.interp import (
     reiteration_constants,
     reiteration_second,
     reiteration_theta,
-    split_sum_inequality,
     unit_ball_volume,
 )
-from gninterp.norms import GridSpec
+from gninterp.measure import check_interpolation, split_sum_inequality
+from gninterp.norms import GridSpec, default_grid, sup_norm, xnorm
 from gninterp.testfn import bump, bump_poly, bump_wave
+
+from conftest import mesh_evaluations, record_mesh_evaluations
 
 etas = st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)
 
@@ -317,9 +317,33 @@ class TestMeasuredInterpolation:
         assert rep.ratio == 1.0
         assert rep.ok is True
 
-    def test_ck_check_is_the_triple_check(self, bump1):
+    @pytest.mark.parametrize(
+        "scales,mode,evaluated",
+        [
+            ((F(1, 4), F(3, 8), F(1, 2)), "full", [("fine", "fields", (0,))]),
+            ((F(-1, 2), F(-1, 3), F(-1, 4)), "full", [("nodes", "fields", (0,)), ("pair", "jet", (0,))]),
+            ((F(-2), F(-1), F(0)), "seminorm", [("nodes", "fields", (0, 1, 2))]),
+            ((F(-1, 2), F(0), F(1, 2)), "seminorm", [("fine", "fields", (0,)), ("pair", "jet", (0,))]),
+        ],
+        ids=["lebesgue", "holder-same-full", "ck-step", "mixed"],
+    )
+    def test_each_point_set_is_evaluated_once(self, bump1, monkeypatch, scales, mode, evaluated):
+        t = InterpolationTriple(1, *scales)
+        calls = record_mesh_evaluations(monkeypatch)
+        rep = check_interpolation(t, bump1, mode=mode)
+        assert sorted(mesh_evaluations(calls, bump1, default_grid(bump1, "lp"), default_grid(bump1, "pair"))) == evaluated
+        monkeypatch.undo()
+        # Shared fields give each norm the value its own norm call gives.
+        for s, nv in zip(scales, (rep.left_norm, rep.mid_norm, rep.right_norm)):
+            if rep.classification.case is InterpCase.CK_STEP:
+                assert nv == sup_norm(bump1, order=int(-s))
+            else:
+                assert nv == xnorm(bump1, s, mode=mode)
+
+    def test_ck_step_reads_sups_in_either_mode(self, bump1):
+        # Any other mode raises (tests/test_errors.py, "ck-step-mode").
         t = InterpolationTriple(1, F(-2), F(-1), F(0))
-        assert ck_interpolation_check(bump1, (2, 1, 0)) == check_interpolation(t, bump1)
+        assert check_interpolation(t, bump1, mode="full") == check_interpolation(t, bump1, mode="seminorm")
 
     def test_dimension_mismatch_rejected(self, bump1):
         t = InterpolationTriple(2, F(-1, 2), F(-1, 4), F(1, 2))
@@ -327,13 +351,14 @@ class TestMeasuredInterpolation:
             check_interpolation(t, bump1)
 
     def test_ck_check_rejects_bad_orders(self, bump1):
+        # Orders (1, 2, 0) are scales -1, -2, 0: not increasing.
         with pytest.raises(NotInterpolable):
-            ck_interpolation_check(bump1, (1, 2, 0))
+            check_interpolation(InterpolationTriple(1, F(-1), F(-2), F(0)), bump1)
 
     @pytest.mark.parametrize("make", [bump, lambda n: bump_poly(n, deg=2), lambda n: bump_wave(n, omega=3.0)])
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_step_margin_positive(self, make, n):
         fn = make(n)
-        rep = ck_interpolation_check(fn, (2, 1, 0))
+        rep = check_interpolation(InterpolationTriple(n, F(-2, n), F(-1, n), F(0)), fn)
         assert rep.ok is True
         assert rep.ratio < 2.0

@@ -52,6 +52,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lo, hi, 257)
 
+    def test_numpy_integer_point_count(self, bump1):
+        grid = GridSpec((-1.05,), (1.05,), np.int64(33))
+        assert type(grid.points_per_axis) is int
+        assert grid == GridSpec((-1.05,), (1.05,), 33)
+        assert sup_norm(bump1, order=1, grid=grid) == sup_norm(bump1, order=1, grid=GridSpec((-1.05,), (1.05,), 33))
+
     def test_default_grid_rejects_unknown_kind(self, bump2):
         assert default_grid(bump2, "pair").points_per_axis == 25
         with pytest.raises(ValueError, match="'pairs'"):
@@ -282,6 +288,12 @@ class TestHolderSeminorm:
             holder_seminorm(bump1, 0, 0.5, grid=grid, refinements=r).value for r in (0, 1, 2, 3)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_numpy_integer_refinements(self, bump1):
+        grid = GridSpec((-1.05,), (1.05,), 33)
+        assert holder_seminorm(bump1, 0, 0.5, grid=grid, refinements=np.int64(2)) == holder_seminorm(
+            bump1, 0, 0.5, grid=grid, refinements=2
+        )
 
     def test_lipschitz_exponent_bounded_by_derivative_sup(self, bump1):
         semi = holder_seminorm(bump1, 0, 1.0)
