@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .derivation import derive_chain, describe_step, format_certificate, parse_certificate
@@ -34,17 +34,11 @@ from .indices import (
     validate_instance,
 )
 from .interp import InterpolationTriple
-from .measure import check_interpolation, dilation_sweep
-from .norms import (
-    GridSpec,
-    brute_force_holder,
-    default_grid,
-    holder_seminorm,
-    lp_norm,
-    lp_norm_midpoint_oracle,
-    xnorm,
-)
-from .testfn import parse_testfn
+
+# The numeric layer (numpy) is imported inside the commands that measure, so
+# params, derive and verify run on the standard library alone.
+if TYPE_CHECKING:
+    from .norms import GridSpec
 
 ENV_CONFIG = "GNINTERP_CONFIG"
 
@@ -156,7 +150,10 @@ def parse_instance(text: str) -> InequalityInstance:
         key, sep, value = tok.partition("=")
         if not sep:
             raise BadParams(f"instance entry {tok!r} is not key=value")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise BadParams(f"instance key {key!r} given twice")
+        fields[key] = value.strip()
     unknown = set(fields) - {"n", "k", "l", "p", "q", "r", "theta"}
     if unknown:
         raise BadParams(f"unknown instance keys {sorted(unknown)}")
@@ -170,6 +167,8 @@ def parse_instance(text: str) -> InequalityInstance:
 def _grid(fn, kind: str, points: Optional[int]) -> GridSpec:
     """The grid of this kind on ``fn``'s own box: the default, with ``points``
     per axis when set. Pass it the function that is measured on it."""
+    from .norms import default_grid
+
     grid = default_grid(fn, kind=kind)
     return grid if points is None else replace(grid, points_per_axis=points)
 
@@ -226,6 +225,9 @@ def _cmd_params(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_norm(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .norms import xnorm
+    from .testfn import parse_testfn
+
     fn = parse_testfn(args.fn, args.n)
     lp_grid, pair_grid = _grids(fn, cfg)
     mode = "seminorm" if args.seminorm else "full"
@@ -239,6 +241,9 @@ def _cmd_norm(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .measure import check_interpolation
+    from .testfn import parse_testfn
+
     fn = parse_testfn(args.fn, args.n)
     lp_grid, pair_grid = _grids(fn, cfg)
     triple = InterpolationTriple(args.n, args.left, args.mid, args.right)
@@ -262,6 +267,9 @@ def _cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .measure import dilation_sweep
+    from .testfn import parse_testfn
+
     inst = parse_instance(args.instance)
     fn = parse_testfn(args.fn, inst.n)
     # One lambda per call, so each dilation is measured on its own box.
@@ -302,6 +310,9 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .norms import brute_force_holder, holder_seminorm, lp_norm, lp_norm_midpoint_oracle
+    from .testfn import parse_testfn
+
     fn = parse_testfn(args.fn, args.n)
     if args.holder:
         grid = _grid(fn, "pair", cfg.points)

@@ -73,12 +73,37 @@ class Slot:
             object.__setattr__(self, "scale", as_rational(self.scale))
         if self.order < 0:
             raise BadParams(f"derivative order must be >= 0, got {self.order}")
+        # Plain integers for verify_chain's sets: hashing them skips Fraction.__hash__.
+        object.__setattr__(self, "_key", (self.order, self.scale.numerator, self.scale.denominator))
 
     def shifted(self, offset: int) -> "Slot":
-        return Slot(self.order + offset, self.scale)
+        return _slot(self.order + offset, self.scale)
 
     def __str__(self) -> str:
         return f"{self.order},{self.scale}"
+
+
+# Enumerated chains repeat a few thousand distinct slots hundreds of
+# thousands of times, so every slot the derivation builds is interned: one
+# object per (order, scale), looked up by integers (Fraction.__hash__ is slow).
+_SLOTS: dict[tuple[int, int, int], Slot] = {}
+
+
+def _slot(order: int, scale: Fraction) -> Slot:
+    key = (order, scale.numerator, scale.denominator)
+    slot = _SLOTS.get(key)
+    if slot is None:
+        slot = _SLOTS[key] = Slot(order, scale)
+    return slot
+
+
+# Exponent tuples repeat more still (a few dozen distinct): interned the same way.
+_EXPONENTS: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+
+
+def _exponents(*exps: Fraction) -> tuple[Fraction, ...]:
+    key = tuple(x for e in exps for x in (e.numerator, e.denominator))
+    return _EXPONENTS.setdefault(key, exps)
 
 
 @dataclass(frozen=True)
@@ -159,17 +184,16 @@ def verify_step(step: Step, n: int) -> None:
         raise BrokenChain(f"unknown rule {rule!r}")
     if len(inputs) != len(exps) or not inputs:
         raise BrokenChain(f"{rule}: {len(inputs)} inputs, {len(exps)} exponents")
+    num, den = 0, 1
     try:
-        ratios = [(e.numerator, e.denominator) for e in exps]
+        for e in exps:
+            num, den = num * e.denominator + e.numerator * den, den * e.denominator
     except AttributeError:
         raise BrokenChain(f"{rule}: exponents {exps} are not exact rationals") from None
-    num, den = 0, 1
-    for a, b in ratios:
-        num, den = num * b + a * den, den * b
     if num != den:
         raise BrokenChain(f"{rule}: exponents {exps} do not sum to 1")
-    for e, (a, b) in zip(exps, ratios):
-        if not 0 <= a <= b:
+    for e in exps:
+        if not 0 <= e.numerator <= e.denominator:
             raise BrokenChain(f"{rule}: exponent {e} outside [0, 1]")
     if len(inputs) == 1:
         # One derivative order and 1/n in scale, moved together.
@@ -185,7 +209,8 @@ def verify_step(step: Step, n: int) -> None:
         return
     # order = onum / oden and scale = snum / sden, both unreduced.
     onum, oden, snum, sden = 0, 1, 0, 1
-    for (a, b), sl in zip(ratios, inputs):
+    for e, sl in zip(exps, inputs):
+        a, b = e.numerator, e.denominator
         p, q = sl.scale.numerator, sl.scale.denominator
         onum, oden = onum * b + a * sl.order * oden, oden * b
         snum, sden = snum * b * q + a * p * sden, sden * b * q
@@ -193,11 +218,6 @@ def verify_step(step: Step, n: int) -> None:
         raise BrokenChain(f"{rule}: output order {out.order}, inputs combine to {Fraction(onum, oden)}")
     if snum * out.scale.denominator != out.scale.numerator * sden:
         raise BrokenChain(f"{rule}: output scale {out.scale}, inputs combine to {Fraction(snum, sden)}")
-
-
-def _slot_key(sl: Slot) -> tuple[int, int, int]:
-    """A slot as plain integers: hashing it skips Fraction.__hash__."""
-    return sl.order, sl.scale.numerator, sl.scale.denominator
 
 
 def verify_chain(chain: ProofChain) -> None:
@@ -212,16 +232,16 @@ def verify_chain(chain: ProofChain) -> None:
     inst = chain.instance
     for step in chain.steps:
         verify_step(step, inst.n)
-    produced = {_slot_key(step.output) for step in chain.steps}
-    consumed = {_slot_key(sl) for step in chain.steps for sl in step.inputs}
-    allowed = {_slot_key(Slot(inst.k, inst.sp)), _slot_key(Slot(0, inst.sr))}
-    free = consumed - produced
-    if not free <= allowed:
-        unresolved = (Slot(o, Fraction(c, d)) for o, c, d in free - allowed)
+    free = {sl._key for step in chain.steps for sl in step.inputs}
+    free.difference_update(step.output._key for step in chain.steps)
+    free.discard((inst.k, inst.sp.numerator, inst.sp.denominator))
+    free.discard((0, inst.sr.numerator, inst.sr.denominator))
+    if free:
+        unresolved = (Slot(o, Fraction(c, d)) for o, c, d in free)
         raise BrokenChain(f"unresolved slots {sorted(str(s) for s in unresolved)}")
-    target = Slot(inst.l, inst.sq)
-    if chain.steps[-1].output != target:
-        raise BrokenChain(f"chain ends at {chain.steps[-1].output}, target {target}")
+    last = chain.steps[-1].output
+    if last.order != inst.l or last.scale != inst.sq:
+        raise BrokenChain(f"chain ends at {last}, target {Slot(inst.l, inst.sq)}")
 
 
 # --- elementary moves ---------------------------------------------------------
@@ -235,10 +255,10 @@ def _descent_step(n: int, order: int, s: Fraction) -> Step:
     with an empirical constant.
     """
     nxt = sobolev_sharp(SpaceIndex(s, n))
-    out = Slot(order - 1, nxt.s)
+    out = _slot(order - 1, nxt.s)
     if s < 0:
-        return Step(RULE_IDENTITY, (Slot(order, s),), out, (Fraction(1),), 1.0)
-    return Step(RULE_SOBOLEV, (Slot(order, s),), out, (Fraction(1),))
+        return Step(RULE_IDENTITY, (_slot(order, s),), out, _exponents(Fraction(1)), 1.0)
+    return Step(RULE_SOBOLEV, (_slot(order, s),), out, _exponents(Fraction(1)))
 
 
 def _ascent_step(n: int, order: int, s: Fraction) -> Step:
@@ -252,7 +272,7 @@ def _ascent_step(n: int, order: int, s: Fraction) -> Step:
     target = s + Fraction(1, n)
     const = 1.0 if target < 0 else None
     note = "" if const else "pair quotients on a mesh undershoot the derivative sup"
-    return Step(RULE_IDENTITY, (Slot(order, s),), Slot(order + 1, target), (Fraction(1),), const, note)
+    return Step(RULE_IDENTITY, (_slot(order, s),), _slot(order + 1, target), _exponents(Fraction(1)), const, note)
 
 
 def _interp_step(
@@ -265,7 +285,7 @@ def _interp_step(
     cls = classify_triple(InterpolationTriple(n, lo, mid, hi))
     eta = cls.eta if a == lo else 1 - cls.eta
     note = f"{context} ({cls.case.value})" if context else cls.case.value
-    return Step(rule, (Slot(order, a), Slot(order, b)), Slot(order, mid), (eta, 1 - eta), cls.bound, note)
+    return Step(rule, (_slot(order, a), _slot(order, b)), _slot(order, mid), _exponents(eta, 1 - eta), cls.bound, note)
 
 
 # --- sharp embedding leg ------------------------------------------------------
@@ -323,8 +343,8 @@ def base_lemma_steps(
     sq = (sp + sr) / 2
     h = Fraction(1, 2)
     inv = Fraction(1, n)
-    parent_inputs = (Slot(2, sp), Slot(0, sr))
-    out = Slot(1, sq)
+    parent_inputs = (_slot(2, sp), _slot(0, sr))
+    out = _slot(1, sq)
 
     if sr <= -inv and sp != inv:
         # Route through first-derivative norms: drop one derivative on the
@@ -362,7 +382,7 @@ def base_lemma_steps(
     const = None
     if cs and None not in cs:
         const = math.sqrt(cs[0] * cs[1]) * math.prod(cs[2:])
-    return (*children, Step(RULE_BASE, parent_inputs, out, (h, h), const, note))
+    return (*children, Step(RULE_BASE, parent_inputs, out, _exponents(h, h), const, note))
 
 
 # --- induction on derivative orders ------------------------------------------
@@ -382,9 +402,9 @@ def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Step, ...]
     const = None if ca is None or cb is None else (ca * ca * cb) ** ((k - 1) / k)
     parent = Step(
         RULE_INDUCT_K,
-        (Slot(k, sp), Slot(0, sr)),
-        Slot(1, sq),
-        (Fraction(1, k), Fraction(k - 1, k)),
+        (_slot(k, sp), _slot(0, sr)),
+        _slot(1, sq),
+        _exponents(Fraction(1, k), Fraction(k - 1, k)),
         const,
         note=f"first-order factor absorbed at weight {Fraction(k - 2, k - 1)}",
     )
@@ -405,9 +425,9 @@ def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Ste
         const = float((ca * cb ** Fraction(k - l, k - 1)) ** Fraction((k - 1) * l, k * (l - 1)))
     parent = Step(
         RULE_INDUCT_DIAG,
-        (Slot(k, sp), Slot(0, sr)),
-        Slot(l, sq),
-        (Fraction(l, k), Fraction(k - l, k)),
+        (_slot(k, sp), _slot(0, sr)),
+        _slot(l, sq),
+        _exponents(Fraction(l, k), Fraction(k - l, k)),
         const,
         note=f"gradient claim at orders ({l - 1}, {k - 1}) and first-order return leg",
     )
@@ -495,12 +515,12 @@ _INSTANCE_FIELDS = {"n": int, "k": int, "l": int, **dict.fromkeys(("sp", "sq", "
 
 def format_certificate(chain: ProofChain) -> str:
     """Serialize a chain to the versioned line format, byte-deterministically."""
+    if len(_WRITTEN) > _WRITTEN_MAX:
+        _WRITTEN.clear()
     inst = chain.instance
-    lines = [
-        f"gninterp-certificate {CERTIFICATE_VERSION}",
-        "instance " + " ".join(f"{key}={getattr(inst, key)}" for key in _INSTANCE_FIELDS),
-        f"steps {len(chain.steps)}",
-    ]
+    head = "instance " + " ".join(f"{key}={getattr(inst, key)}" for key in _INSTANCE_FIELDS)
+    _WRITTEN[head] = inst
+    lines = [f"gninterp-certificate {CERTIFICATE_VERSION}", head, f"steps {len(chain.steps)}"]
     for step in chain.steps:
         ins = ";".join(str(sl) for sl in step.inputs)
         exps = ";".join(str(e) for e in step.exponents)
@@ -509,6 +529,7 @@ def format_certificate(chain: ProofChain) -> str:
         if step.note:
             line += f" note={step.note}"
         lines.append(line)
+        _WRITTEN[line] = step
     return "\n".join(lines) + "\n"
 
 
@@ -521,13 +542,44 @@ def _key_values(tokens: list[str], keys: Collection[str]) -> dict[str, str]:
     """``key=value`` tokens as a dict; a key given twice, or one the writer
     never writes, is malformed.  The caller reads every key in ``keys``, so an
     unknown one means too many keys here or a missing one (KeyError) there."""
-    pairs = [tok.split("=", 1) for tok in tokens]
-    fields = dict(pairs)
-    if len(fields) != len(pairs):
+    fields = dict(tok.split("=", 1) for tok in tokens)
+    if len(fields) != len(tokens):
         raise BadCertificate(f"duplicate key in {' '.join(tokens)!r}")
     if len(fields) > len(keys):
         raise BadCertificate(f"unknown keys {sorted(fields.keys() - keys)} in {' '.join(tokens)!r}")
     return fields
+
+
+# The instance and step lines format_certificate wrote, each with what it
+# wrote it from, so that a chain read back in the same process shares the
+# written chain's instance and steps (the table starts over past
+# _WRITTEN_MAX lines).  The reader still parses every line and takes the
+# written object only when it equals what it read, so its result never
+# depends on what was written.
+_WRITTEN: dict[str, InequalityInstance | Step] = {}
+_WRITTEN_MAX = 1 << 16
+
+
+def _as_written(line: str, read):
+    written = _WRITTEN.get(line)
+    return written if written == read else read
+
+
+def _read_step(line: str) -> Step:
+    body, _, note = line.partition(" note=")
+    toks = body.split()
+    if toks[0] != "step":
+        raise BadCertificate(f"expected a step line, got {line!r}")
+    kv = _key_values(toks[2:], ("in", "out", "exp", "constant"))
+    step = Step(
+        rule=toks[1],
+        inputs=tuple(_parse_slot(t) for t in kv["in"].split(";")),
+        output=_parse_slot(kv["out"]),
+        exponents=tuple(_parse_rational(t) for t in kv["exp"].split(";")),
+        constant=None if kv["constant"] == "empirical" else float(kv["constant"]),
+        note=note,
+    )
+    return _as_written(line, step)
 
 
 def parse_certificate(text: str) -> ProofChain:
@@ -546,6 +598,7 @@ def parse_certificate(text: str) -> ProofChain:
             raise BadCertificate(f"expected an instance line, got {lines[1]!r}")
         fields = _key_values(tokens, _INSTANCE_FIELDS)
         inst = InequalityInstance(**{key: read(fields[key]) for key, read in _INSTANCE_FIELDS.items()})
+        inst = _as_written(lines[1], inst)
         problems = structural_violations(inst, min_order=0 if inst.theta == 1 else 1)
         if problems:
             raise BadCertificate("invalid instance: " + "; ".join(v.message for v in problems))
@@ -553,31 +606,13 @@ def parse_certificate(text: str) -> ProofChain:
         if keyword != "steps":
             raise BadCertificate(f"expected a steps line, got {lines[2]!r}")
         count = int(count_text)
-        steps = []
-        for ln in lines[3:]:
-            body, _, note = ln.partition(" note=")
-            toks = body.split()
-            if toks[0] != "step":
-                raise BadCertificate(f"expected a step line, got {ln!r}")
-            rule = toks[1]
-            kv = _key_values(toks[2:], ("in", "out", "exp", "constant"))
-            const = None if kv["constant"] == "empirical" else float(kv["constant"])
-            steps.append(
-                Step(
-                    rule=rule,
-                    inputs=tuple(_parse_slot(t) for t in kv["in"].split(";")),
-                    output=_parse_slot(kv["out"]),
-                    exponents=tuple(_parse_rational(t) for t in kv["exp"].split(";")),
-                    constant=const,
-                    note=note,
-                )
-            )
+        steps = tuple(map(_read_step, lines[3:]))
         if len(steps) != count:
             raise BadCertificate(f"header promises {count} steps, found {len(steps)}")
     except BadCertificate:
         raise
     except (IndexError, KeyError, ValueError) as exc:
         raise BadCertificate(f"malformed certificate: {exc}") from exc
-    chain = ProofChain(instance=inst, steps=tuple(steps))
+    chain = ProofChain(instance=inst, steps=steps)
     verify_chain(chain)
     return chain

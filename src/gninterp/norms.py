@@ -263,6 +263,14 @@ def lp_norm(
     return _lp_value(_Fields(fn, lp_grid=grid, lp=(order,)), p, order)
 
 
+def _finite_integral(integral: float, p: float, order: int) -> float:
+    """``integral``, or BadParams when it overflowed or is NaN: a NaN passes
+    the Simpson tolerance test and would print as a norm value."""
+    if not math.isfinite(integral):
+        raise BadParams(f"the L^{p:g} integral of the order-{order} field is {integral}, not finite")
+    return integral
+
+
 def _lp_value(fields: _Fields, p: float, order: int) -> NormValue:
     grid = fields.lp_grid
     fine = grid.refined()
@@ -270,8 +278,8 @@ def _lp_value(fields: _Fields, p: float, order: int) -> NormValue:
     # The coarse grid's nodes are the fine grid's even-index nodes.
     even = (slice(None, None, 2),) * grid.ndim
     coarse = field.reshape((fine.points_per_axis,) * grid.ndim)[even]
-    ic = _simpson_integral(np.ascontiguousarray(coarse), grid)
-    i_f = _simpson_integral(field, fine)
+    ic = _finite_integral(_simpson_integral(np.ascontiguousarray(coarse), grid), p, order)
+    i_f = _finite_integral(_simpson_integral(field, fine), p, order)
     if ic == 0.0 and i_f == 0.0:
         return NormValue(0.0, 0.0, "simpson+richardson")
     denom = max(abs(i_f), abs(ic))
@@ -307,15 +315,15 @@ def lp_norm_midpoint_oracle(
     h = (np.asarray(grid.hi) - lo) / m
     axes = [lo[i] + (np.arange(m) + 0.5) * h[i] for i in range(grid.ndim)]
     field = _max_component_field(fn, _mesh(axes), order) ** p
-    integral = float(np.sum(field.reshape((m,) * grid.ndim))) * float(np.prod(h))
+    integral = _finite_integral(float(np.sum(field.reshape((m,) * grid.ndim))) * float(np.prod(h)), p, order)
     if integral <= 0.0:
         return NormValue(0.0, 0.0, "midpoint")
     value = integral ** (1.0 / p)
     # Midpoint is O(h^2); estimate via a half-resolution pass.
     m2 = m // 2
     axes2 = [lo[i] + (np.arange(m2) + 0.5) * (h[i] * m / m2) for i in range(grid.ndim)]
-    coarse = float(np.sum(_max_component_field(fn, _mesh(axes2), order) ** p)) * float(
-        np.prod(h * m / m2)
+    coarse = _finite_integral(
+        float(np.sum(_max_component_field(fn, _mesh(axes2), order) ** p)) * float(np.prod(h * m / m2)), p, order
     )
     # Halving an O(h^2) rule leaves |I - I_coarse| ~ 3x the fine error for
     # smooth fields; /2 keeps headroom for the kinks |D^l u| introduces.

@@ -297,6 +297,12 @@ class TestFunction:
     def __post_init__(self):
         if not (1 <= self.ndim <= MAX_DIM):
             raise UnsupportedDimension(f"ndim={self.ndim} not supported (1..{MAX_DIM})")
+        # replace() re-runs this check, so every transform's frame passes it too.
+        if not all(map(math.isfinite, (self.radius, self.amp, *self.center))):
+            center = tuple(map(float, self.center))
+            raise BadParams(
+                f"radius, center and amp must be finite, got radius={self.radius}, center={center}, amp={self.amp}"
+            )
         if not (self.radius > 0):
             raise BadParams(f"support radius must be positive, got {self.radius}")
         if len(self.center) != self.ndim:
@@ -463,6 +469,8 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
 def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
     R = _require_positive("R", R)
     omega = float(omega)
+    if not math.isfinite(omega):
+        raise BadParams(f"omega must be finite, got {omega}")
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
         factor = _cos_rows(y[:, 0], omega, order)

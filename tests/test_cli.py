@@ -435,14 +435,36 @@ def test_removed_flags_rejected(argv, flag):
          "error: gamma must lie in (0, 1], got 3/2"),
         (["oracle", "--lp", "--fn", "bump(R=1)", "--n", "1", "--p", "1/2"],
          "error: p must satisfy 1 <= p < inf (use sup_norm for p = inf), got 1/2"),
+        (["derive", "--instance", "n=1,k=2,l=1,p=2,r=-1,theta=3/4,p=4"], "error: instance key 'p' given twice"),
+        (["norm", "--fn", "bump(R=1)*amp(nan)", "--n", "1", "--s", "1/2"],
+         "error: radius, center and amp must be finite, got radius=1.0, center=(0.0,), amp=nan"),
+        (["check", "--fn", "bump_wave(R=1,omega=nan)", "--n", "1", "--left", "1/4", "--mid", "3/8", "--right", "1/2"],
+         "error: omega must be finite, got nan"),
     ],
     ids=["zero-exponent", "even-points", "instance-entry", "instance-key", "instance-orders",
-         "holder-without-p2", "lp-without-p", "oracle-gamma-as-typed", "oracle-p-as-typed"],
+         "holder-without-p2", "lp-without-p", "oracle-gamma-as-typed", "oracle-p-as-typed",
+         "instance-repeated-key", "norm-amp-nan", "check-omega-nan"],
 )
 def test_input_errors_exit_two(argv, message):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == message
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "argv,p",
+    [
+        (["norm", "--fn", "bump(R=1)*amp(1e200)", "--n", "1", "--s", "1/2"], "2"),
+        (["check", "--fn", "bump(R=1)*amp(1e200)", "--n", "1", "--left", "1/4", "--mid", "3/8", "--right", "1/2"],
+         "2.66667"),
+    ],
+)
+def test_overflowing_integral_exits_two(argv, p):
+    # Before, both printed NaN and exited 0; check read the NaN ratio as 1.
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: the L^{p} integral of the order-0 field is inf, not finite"
 
 
 def test_version_flag():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gninterp import measure
+from gninterp import derivation, measure
 from gninterp.derivation import (
     RULE_BASE,
     RULE_INDUCT_DIAG,
@@ -354,6 +354,39 @@ class TestCertificates:
         text = format_certificate(sobolev_chain(1, 3, 0, F(-1, 2)))
         with pytest.raises(BadCertificate, match="orders must satisfy 1 <= l < k"):
             parse_certificate(text.replace("theta=1", "theta=1/2"))
+
+    def test_read_back_chain_shares_the_written_steps(self):
+        chain = derive_chain(GOLDEN_INSTANCE)
+        parsed = parse_certificate(format_certificate(chain))
+        assert parsed.instance is chain.instance
+        assert all(a is b for a, b in zip(parsed.steps, chain.steps))
+
+    def test_step_line_never_written_parses_to_an_equal_step(self):
+        # A stored step is taken only when it equals what the reader parsed.
+        chain = derive_chain(GOLDEN_INSTANCE)
+        text = format_certificate(chain)
+        step = chain.steps[0]
+        odd = dataclasses.replace(step, note=step.note + " (not this line's step)")
+        line = text.splitlines()[3]
+        derivation._WRITTEN[line] = odd
+        try:
+            parsed = parse_certificate(text)
+        finally:
+            derivation._WRITTEN[line] = step
+        assert parsed.steps[0] == step and parsed.steps[0] is not odd
+
+    def test_written_lines_table_starts_over_when_full(self, monkeypatch):
+        monkeypatch.setattr(derivation, "_WRITTEN", {"stale": None})
+        monkeypatch.setattr(derivation, "_WRITTEN_MAX", 0)
+        chain = derive_chain(GOLDEN_INSTANCE)
+        lines = format_certificate(chain).splitlines()
+        assert derivation._WRITTEN.keys() == {lines[1], *lines[3:]}
+
+    def test_derived_slots_and_exponents_are_interned(self):
+        a, b = derive_chain(GOLDEN_INSTANCE), derive_chain(GOLDEN_INSTANCE)
+        for x, y in zip(a.steps, b.steps):
+            assert all(s is t for s, t in zip((*x.inputs, x.output), (*y.inputs, y.output)))
+            assert x.exponents is y.exponents
 
     def test_determinism_across_runs(self):
         a = format_certificate(derive_chain(GOLDEN_INSTANCE))

@@ -20,7 +20,7 @@ from gninterp.indices import HolderSignature, InequalityInstance, SpaceIndex
 from gninterp.interp import InterpolationTriple
 from gninterp.measure import check_interpolation, split_sum_inequality
 from gninterp.norms import GridSpec, brute_force_holder, default_grid, holder_seminorm, lp_norm, xnorm
-from gninterp.testfn import bump, bump_poly, parse_testfn
+from gninterp.testfn import bump, bump_poly, bump_wave, parse_testfn
 
 # Each check that once raised a bare ValueError, with its message. A case gets
 # ``path(text)``, which writes a config file and returns its path; ``{cfg}``
@@ -72,6 +72,9 @@ FORMER_VALUE_ERRORS = {
     "instance-entry": (lambda path: parse_instance("n=1,k=2,foo"), "instance entry 'foo' is not key=value"),
     "instance-key": (lambda path: parse_instance("n=1,k=2,l=1,x=3"), "unknown instance keys ['x']"),
     "instance-orders": (lambda path: parse_instance("k=2,l=1"), "instance needs n, k and l (missing 'n')"),
+    "instance-repeated-key": (
+        lambda path: parse_instance("n=1,k=2,l=1,p=2,r=-1,theta=3/4,p=4"), "instance key 'p' given twice"
+    ),
 }
 
 
@@ -122,6 +125,35 @@ INPUT_CHECKS = {
     "refinements-negative": (
         lambda: holder_seminorm(bump(1), 0, 0.5, refinements=-2), BadParams, "refinements must be >= 0, got -2"
     ),
+    # A non-finite frame would print NaN norms and pass every verdict; each
+    # transform re-runs the constructor's check.
+    "amp-nan": (
+        lambda: bump(1).scaled(float("nan")),
+        BadParams,
+        "radius, center and amp must be finite, got radius=1.0, center=(0.0,), amp=nan",
+    ),
+    "dsl-amp-inf": (
+        lambda: parse_testfn("bump(R=1)*amp(inf)", 1),
+        BadParams,
+        "radius, center and amp must be finite, got radius=1.0, center=(0.0,), amp=inf",
+    ),
+    "translate-nan": (
+        lambda: bump(2).translate([0.0, float("nan")]),
+        BadParams,
+        "radius, center and amp must be finite, got radius=1.0, center=(0.0, nan), amp=1.0",
+    ),
+    "radius-inf": (
+        lambda: bump(1, R=float("inf")),
+        BadParams,
+        "radius, center and amp must be finite, got radius=inf, center=(0.0,), amp=1.0",
+    ),
+    "dilate-overflow": (
+        lambda: bump(1).dilate(1e-320),
+        BadParams,
+        "radius, center and amp must be finite, got radius=inf, center=(0.0,), amp=1.0",
+    ),
+    "omega-nan": (lambda: bump_wave(1, omega=float("nan")), BadParams, "omega must be finite, got nan"),
+    "dsl-omega-inf": (lambda: parse_testfn("bump_wave(R=1,omega=inf)", 1), BadParams, "omega must be finite, got inf"),
     # A ck_step triple reads whole-derivative sups, in either mode; any other mode is an error.
     "ck-step-mode": (
         lambda: check_interpolation(InterpolationTriple(1, F(-2), F(-1), F(0)), bump(1), mode="bogus"),

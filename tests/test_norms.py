@@ -204,6 +204,15 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="sup_norm"):
             norm(bump1, p)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("norm", [lp_norm, lp_norm_midpoint_oracle])
+    @pytest.mark.parametrize("order,p", [(0, 2), (1, 4)])
+    def test_overflowing_integral_rejected(self, bump1, norm, order, p):
+        # |amp * u|^p overflows: NaN would pass every tolerance test and print.
+        with pytest.raises(BadParams) as info:
+            norm(bump1.scaled(1e200), p, order=order)
+        assert str(info.value) == f"the L^{p} integral of the order-{order} field is inf, not finite"
+
 
 class TestSupNorm:
     def test_bump_peak_exact(self, bump1):
