@@ -22,25 +22,13 @@ from .errors import (
     BadParams,
     BorderlineIndex,
     BrokenChain,
-    DegenerateCondition,
     DslSyntaxError,
     GNInterpError,
     GridTooCoarse,
-    IndeterminateTheta,
-    InexactIndex,
     InternalBorderline,
-    InvalidBase,
-    IntegralDiverges,
     InvalidInstance,
     JetOrderOverflow,
     MalformedIndex,
-    NonHolderIndex,
-    NotInterpolable,
-    OracleTooLarge,
-    ScaleOverflow,
-    ThetaOutOfRange,
-    UnknownFamily,
-    UnsupportedDimension,
 )
 from .indices import (
     HolderSignature,

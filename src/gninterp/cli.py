@@ -157,11 +157,17 @@ def parse_instance(text: str) -> InequalityInstance:
     unknown = set(fields) - {"n", "k", "l", "p", "q", "r", "theta"}
     if unknown:
         raise BadParams(f"unknown instance keys {sorted(unknown)}")
+    orders = [_instance_order(fields, key) for key in ("n", "k", "l")]
+    return _instance(*orders, *(fields.get(key) for key in ("p", "q", "r", "theta")))[0]
+
+
+def _instance_order(fields: dict[str, str], key: str) -> int:
+    if key not in fields:
+        raise BadParams(f"instance needs n, k and l (missing {key!r})")
     try:
-        n, k, l = int(fields["n"]), int(fields["k"]), int(fields["l"])
-    except KeyError as exc:
-        raise BadParams(f"instance needs n, k and l (missing {exc})") from exc
-    return _instance(n, k, l, *(fields.get(key) for key in ("p", "q", "r", "theta")))[0]
+        return int(fields[key])
+    except ValueError:
+        raise BadParams(f"instance key {key!r} must be an integer, got {fields[key]!r}") from None
 
 
 def _grid(fn, kind: str, points: Optional[int]) -> GridSpec:

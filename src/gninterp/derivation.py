@@ -26,7 +26,6 @@ from .errors import (
     BorderlineIndex,
     BrokenChain,
     InternalBorderline,
-    InvalidBase,
     InvalidInstance,
 )
 from .indices import (
@@ -337,9 +336,9 @@ def base_lemma_steps(
     sp = as_rational(sp)
     sr = as_rational(sr)
     if n < 1:
-        raise InvalidBase(f"dimension must be positive, got n={n}")
+        raise InvalidInstance(f"dimension must be positive, got n={n}")
     if sp > 1 or sr > 1:
-        raise InvalidBase(f"scales must lie at or below 1, got sp={sp}, sr={sr}")
+        raise InvalidInstance(f"scales must lie at or below 1, got sp={sp}, sr={sr}")
     sq = (sp + sr) / 2
     h = Fraction(1, 2)
     inv = Fraction(1, n)
@@ -571,12 +570,15 @@ def _read_step(line: str) -> Step:
     if toks[0] != "step":
         raise BadCertificate(f"expected a step line, got {line!r}")
     kv = _key_values(toks[2:], ("in", "out", "exp", "constant"))
+    constant = None if kv["constant"] == "empirical" else float(kv["constant"])
+    if constant is not None and not 0 < constant < math.inf:
+        raise BadCertificate(f"{toks[1]}: constant must be finite and positive, got {kv['constant']!r}")
     step = Step(
         rule=toks[1],
         inputs=tuple(_parse_slot(t) for t in kv["in"].split(";")),
         output=_parse_slot(kv["out"]),
         exponents=tuple(_parse_rational(t) for t in kv["exp"].split(";")),
-        constant=None if kv["constant"] == "empirical" else float(kv["constant"]),
+        constant=constant,
         note=note,
     )
     return _as_written(line, step)

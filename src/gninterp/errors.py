@@ -2,6 +2,13 @@
 
 Everything raised on purpose derives from :class:`GNInterpError`, so callers
 (and the CLI) can separate mathematical/usage failures from genuine bugs.
+
+A class exists only for a decision some caller makes. A failure that no
+caller would handle apart from its family raises the family's class, with a
+message that says what went wrong: ``derive_chain`` catches
+:class:`BorderlineIndex`, the CLI tells :class:`InternalBorderline` and
+:class:`BrokenChain` (exit 1) from the rest (exit 2), and a caller refines
+the grid on :class:`GridTooCoarse`.
 """
 
 from __future__ import annotations
@@ -11,60 +18,28 @@ class GNInterpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- index arithmetic ---------------------------------------------------------
+# --- inputs -------------------------------------------------------------------
 
-class InexactIndex(GNInterpError, TypeError):
-    """An index was given as a float or another type with no exact value."""
-
-
-class MalformedIndex(GNInterpError, ValueError):
-    """An index string is not an exact rational of the form num or num/den."""
+class BadParams(GNInterpError, ValueError):
+    """A parameter of a function, grid, norm, index, triple or integral
+    violates its constraints, or a value computed from it is not finite."""
 
 
-class NonHolderIndex(GNInterpError):
-    """A Holder signature was requested for an index with s >= 0."""
+class MalformedIndex(GNInterpError, ValueError, TypeError):
+    """An index is not an exact rational: a string not of the form num or
+    num/den, or a float or another type with no exact value."""
 
 
 class BorderlineIndex(GNInterpError):
     """Sharp Sobolev conjugate requested at the borderline s = 1/n."""
 
 
-class ScaleOverflow(GNInterpError):
-    """An operation produced an index outside the admissible scale (s > 1)."""
-
-
-class DegenerateCondition(GNInterpError):
-    """The balance relation degenerates and the requested quantity is undefined."""
-
-
-class IndeterminateTheta(GNInterpError):
-    """Every interpolation weight satisfies the balance; theta is not determined."""
-
-
-class ThetaOutOfRange(GNInterpError):
-    """An interpolation weight outside [l/k, 1] was supplied."""
-
-
-# --- test functions / jets ----------------------------------------------------
-
-class UnknownFamily(GNInterpError):
-    """Test-function family name not in the grammar."""
-
-
-class BadParams(GNInterpError, ValueError):
-    """A parameter of a function, grid, norm or scale violates its constraints."""
-
-
 class DslSyntaxError(GNInterpError):
-    """A function expression string could not be parsed."""
+    """A function expression string could not be parsed, or names no family."""
 
 
 class JetOrderOverflow(GNInterpError):
     """A derivative jet beyond the supported order was requested."""
-
-
-class UnsupportedDimension(GNInterpError):
-    """Evaluation is only implemented for dimensions 1 through 3."""
 
 
 # --- norm evaluation ----------------------------------------------------------
@@ -73,28 +48,11 @@ class GridTooCoarse(GNInterpError):
     """The quadrature error estimate is too large relative to the value."""
 
 
-class OracleTooLarge(GNInterpError):
-    """A brute-force oracle was asked to process more points than it allows."""
-
-
-# --- interpolation checks -----------------------------------------------------
-
-class NotInterpolable(GNInterpError):
-    """The three indices do not form a valid interpolation triple."""
-
-
-class IntegralDiverges(GNInterpError):
-    """The one-dimensional comparison integral does not converge."""
-
-
 # --- derivation engine --------------------------------------------------------
 
 class InvalidInstance(GNInterpError):
-    """An instance cannot be solved or derived: n < 1, or a structural violation."""
-
-
-class InvalidBase(GNInterpError):
-    """Second-order base inequality parameters violate its preconditions."""
+    """An instance cannot be solved or derived: n < 1, a structural violation,
+    a balance that fixes no unique value, or a weight outside [l/k, 1]."""
 
 
 class InternalBorderline(GNInterpError):

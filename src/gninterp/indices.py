@@ -20,18 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (
-    BadParams,
-    BorderlineIndex,
-    DegenerateCondition,
-    IndeterminateTheta,
-    InexactIndex,
-    InvalidInstance,
-    MalformedIndex,
-    NonHolderIndex,
-    ScaleOverflow,
-    ThetaOutOfRange,
-)
+from .errors import BadParams, BorderlineIndex, InvalidInstance, MalformedIndex
 
 Rational = Fraction
 
@@ -53,7 +42,7 @@ def as_rational(value: Union[int, str, Fraction]) -> Fraction:
         if not _RATIONAL_RE.match(text):
             raise MalformedIndex(f"not an exact rational: {value!r} (use num or num/den)")
         return Fraction(text)
-    raise InexactIndex(f"cannot convert {type(value).__name__} to an exact rational")
+    raise MalformedIndex(f"cannot convert {type(value).__name__} to an exact rational")
 
 
 @dataclass(frozen=True)
@@ -69,7 +58,7 @@ class SpaceIndex:
         if self.n < 1:
             raise BadParams(f"dimension must be positive, got n={self.n}")
         if self.s.numerator > self.s.denominator:  # s > 1
-            raise ScaleOverflow(f"s={self.s} lies above the scale (p in (0,1) is excluded)")
+            raise BadParams(f"s={self.s} lies above the scale (p in (0,1) is excluded)")
 
     @property
     def regime(self) -> str:
@@ -110,7 +99,7 @@ def holder_signature(idx: SpaceIndex) -> HolderSignature:
     """
     a, b = idx.s.numerator, idx.s.denominator
     if a >= 0:
-        raise NonHolderIndex(f"s={idx.s} is not in the Holder range (need s < 0)")
+        raise BadParams(f"s={idx.s} is not in the Holder range (need s < 0)")
     na = idx.n * a  # n*s = na/b
     p1 = -((na + b) // b)
     return HolderSignature(p1=p1, p2=Fraction(-na - p1 * b, b))
@@ -130,11 +119,11 @@ def sobolev_sharp(idx: SpaceIndex) -> SpaceIndex:
 def sobolev_flat(idx: SpaceIndex) -> SpaceIndex:
     """Index after one derivative is gained: s_* = s + 1/n.
 
-    Raises ScaleOverflow when the result would leave the scale (s_* > 1).
+    Raises BadParams when the result would leave the scale (s_* > 1).
     """
     out = idx.s + Fraction(1, idx.n)
     if out > 1:
-        raise ScaleOverflow(f"s={idx.s} + 1/{idx.n} = {out} exceeds 1")
+        raise BadParams(f"s={idx.s} + 1/{idx.n} = {out} exceeds 1")
     return SpaceIndex(s=out, n=idx.n)
 
 
@@ -149,19 +138,16 @@ def solve_theta(
 ) -> Fraction:
     """Weight theta from the balance sq - l/n = theta*(sp - k/n) + (1-theta)*sr.
 
-    Raises InvalidInstance for n < 1, where the balance is undefined.
+    Raises InvalidInstance for n < 1, where the balance is undefined, and
+    when the balance holds for every theta or for none.
     """
     _require_dimension(n)
     num = sq - Fraction(l, n) - sr
     den = sp - Fraction(k, n) - sr
     if den == 0:
         if num == 0:
-            raise IndeterminateTheta(
-                "balance holds for every theta (sp - k/n = sr and sq - l/n = sr)"
-            )
-        raise DegenerateCondition(
-            f"no theta satisfies the balance: sp - k/n = sr = {sr} but sq - l/n != sr"
-        )
+            raise InvalidInstance("balance holds for every theta (sp - k/n = sr and sq - l/n = sr)")
+        raise InvalidInstance(f"no theta satisfies the balance: sp - k/n = sr = {sr} but sq - l/n != sr")
     return num / den
 
 
@@ -171,13 +157,13 @@ def solve_q(
     """Target index sq from the balance, for theta in [l/k, 1].
 
     Raises InvalidInstance for n < 1 or k < 1, where the balance or the
-    window is undefined.
+    window is undefined, and for theta outside the window.
     """
     _require_dimension(n)
     if k < 1:
         raise InvalidInstance(f"derivative order must satisfy k >= 1, got k={k}")
     if not (Fraction(l, k) <= theta <= 1):
-        raise ThetaOutOfRange(f"theta={theta} outside [{Fraction(l, k)}, 1]")
+        raise InvalidInstance(f"theta={theta} outside [{Fraction(l, k)}, 1]")
     return Fraction(l, n) + theta * (sp - Fraction(k, n)) + (1 - theta) * sr
 
 
@@ -306,9 +292,9 @@ def solve_missing(
     Returns ``(values, unconstrained)`` where ``values`` maps each of
     ``sp, sq, sr, theta`` to its (given or solved) Fraction, and
     ``unconstrained`` lists names whose value does not influence the balance
-    (e.g. ``sr`` when theta = 1). Raises DegenerateCondition when the system
-    cannot determine the unknowns, and InvalidInstance for n < 1, where
-    the balance is undefined.
+    (e.g. ``sr`` when theta = 1). Raises InvalidInstance when the system
+    cannot determine the unknowns, and for n < 1, where the balance is
+    undefined.
     """
     _require_dimension(n)
     known = {"sp": sp, "sq": sq, "sr": sr, "theta": theta}
@@ -318,7 +304,7 @@ def solve_missing(
 
     if theta is None:
         if sp is None or sq is None or sr is None:
-            raise DegenerateCondition(
+            raise InvalidInstance(
                 "cannot solve: theta unknown together with " + ", ".join(m for m in missing if m != "theta")
             )
         known["theta"] = solve_theta(n, k, l, sp, sq, sr)
@@ -330,7 +316,7 @@ def solve_missing(
     unconstrained = [name for name in missing if coeff[name] == 0]
     to_solve = [name for name in missing if coeff[name] != 0]
     if len(to_solve) > 1:
-        raise DegenerateCondition("underdetermined: " + " and ".join(to_solve) + " both unknown")
+        raise InvalidInstance("underdetermined: " + " and ".join(to_solve) + " both unknown")
     if to_solve:
         name = to_solve[0]
         const = Fraction(l, n) - theta * Fraction(k, n)

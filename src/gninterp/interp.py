@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import IntegralDiverges, NotInterpolable
+from .errors import BadParams
 from .indices import Rational, SpaceIndex, as_rational, holder_signature
 
 
@@ -75,9 +75,7 @@ class InterpolationTriple:
         for s in (self.left, self.mid, self.right):
             SpaceIndex(s, self.n)  # validates n >= 1 and s <= 1
         if not (self.left < self.mid < self.right):
-            raise NotInterpolable(
-                f"scales must be strictly ordered, got {self.left} < {self.mid} < {self.right}"
-            )
+            raise BadParams(f"scales must be strictly ordered, got {self.left} < {self.mid} < {self.right}")
 
     @property
     def eta(self) -> Fraction:
@@ -230,7 +228,7 @@ def mixed_case_integral(n: int, lam2: float, p: float) -> float:
     """
     lam2, p = float(lam2), float(p)
     if p <= -1.0 or lam2 <= 0.0 or n < 1:
-        raise IntegralDiverges(f"integral parameters out of range: n={n}, lam2={lam2}, p={p}")
+        raise BadParams(f"integral parameters out of range: n={n}, lam2={lam2}, p={p}")
     a = n / lam2
     return math.exp(math.lgamma(a) + math.lgamma(p + 1.0) - math.lgamma(a + p + 1.0)) / lam2
 
@@ -249,7 +247,7 @@ def mixed_case_constant(n: int, left: Rational, right: Rational) -> float:
     """
     left, right = as_rational(left), as_rational(right)
     if not (Fraction(-1, n) <= left < 0 < right <= 1):
-        raise IntegralDiverges(f"scales out of the mixed-case range: {left}, {right}")
+        raise BadParams(f"scales out of the mixed-case range: {left}, {right}")
     lam2 = float(-n * left)
     p = 1.0 / float(right)
     eta = InterpolationTriple(n, left, 0, right).eta

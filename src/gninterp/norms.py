@@ -43,7 +43,7 @@ from typing import Collection, Dict, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadParams, GridTooCoarse, OracleTooLarge
+from .errors import BadParams, GridTooCoarse
 from .indices import SpaceIndex, holder_signature
 from .testfn import Key, TestFunction, multi_indices_exact
 
@@ -188,6 +188,22 @@ def _clouds(centers: np.ndarray, h: np.ndarray, count: int) -> np.ndarray:
     return axes[:, np.arange(ndim)[:, None], at].transpose(0, 2, 1).reshape(-1, ndim)
 
 
+def _finite(value, what: str):
+    """``value``, or BadParams naming ``what`` when it (any entry, for an
+    array) overflowed or is NaN: such a value passes every tolerance test
+    and would print as a norm or a ratio.
+
+    A float takes ``math.isfinite``: numpy's call on a scalar made a
+    default-grid ``lp_norm`` about 4% slower."""
+    if isinstance(value, float):
+        bad = [] if math.isfinite(value) else [value]
+    else:
+        bad = value[~np.isfinite(value)]
+    if len(bad):
+        raise BadParams(f"{what} is {bad[0]}, not finite")
+    return value
+
+
 class _Fields:
     """What a set of norms of one function reads, each point set evaluated once.
 
@@ -228,6 +244,12 @@ class _Fields:
         if pair:
             jet = fn.jet(self.pair_grid.mesh(), max(pair))
             self.pair = {m: {k: jet[k] for k in multi_indices_exact(fn.ndim, m)} for m in pair}
+        # A pair scan skips a NaN quotient, so the pair fields are checked as
+        # built; a Simpson sum or a grid sup carries a non-finite entry into
+        # its value, which is checked there.
+        for m, comps in self.pair.items():
+            for comp in comps.values():
+                _finite(comp, f"the order-{m} field")
 
 
 def _simpson_weights(m: int, h: float) -> np.ndarray:
@@ -263,14 +285,6 @@ def lp_norm(
     return _lp_value(_Fields(fn, lp_grid=grid, lp=(order,)), p, order)
 
 
-def _finite_integral(integral: float, p: float, order: int) -> float:
-    """``integral``, or BadParams when it overflowed or is NaN: a NaN passes
-    the Simpson tolerance test and would print as a norm value."""
-    if not math.isfinite(integral):
-        raise BadParams(f"the L^{p:g} integral of the order-{order} field is {integral}, not finite")
-    return integral
-
-
 def _lp_value(fields: _Fields, p: float, order: int) -> NormValue:
     grid = fields.lp_grid
     fine = grid.refined()
@@ -278,8 +292,9 @@ def _lp_value(fields: _Fields, p: float, order: int) -> NormValue:
     # The coarse grid's nodes are the fine grid's even-index nodes.
     even = (slice(None, None, 2),) * grid.ndim
     coarse = field.reshape((fine.points_per_axis,) * grid.ndim)[even]
-    ic = _finite_integral(_simpson_integral(np.ascontiguousarray(coarse), grid), p, order)
-    i_f = _finite_integral(_simpson_integral(field, fine), p, order)
+    what = f"the L^{p:g} integral of the order-{order} field"
+    ic = _finite(_simpson_integral(np.ascontiguousarray(coarse), grid), what)
+    i_f = _finite(_simpson_integral(field, fine), what)
     if ic == 0.0 and i_f == 0.0:
         return NormValue(0.0, 0.0, "simpson+richardson")
     denom = max(abs(i_f), abs(ic))
@@ -315,15 +330,16 @@ def lp_norm_midpoint_oracle(
     h = (np.asarray(grid.hi) - lo) / m
     axes = [lo[i] + (np.arange(m) + 0.5) * h[i] for i in range(grid.ndim)]
     field = _max_component_field(fn, _mesh(axes), order) ** p
-    integral = _finite_integral(float(np.sum(field.reshape((m,) * grid.ndim))) * float(np.prod(h)), p, order)
+    what = f"the L^{p:g} integral of the order-{order} field"
+    integral = _finite(float(np.sum(field.reshape((m,) * grid.ndim))) * float(np.prod(h)), what)
     if integral <= 0.0:
         return NormValue(0.0, 0.0, "midpoint")
     value = integral ** (1.0 / p)
     # Midpoint is O(h^2); estimate via a half-resolution pass.
     m2 = m // 2
     axes2 = [lo[i] + (np.arange(m2) + 0.5) * (h[i] * m / m2) for i in range(grid.ndim)]
-    coarse = _finite_integral(
-        float(np.sum(_max_component_field(fn, _mesh(axes2), order) ** p)) * float(np.prod(h * m / m2)), p, order
+    coarse = _finite(
+        float(np.sum(_max_component_field(fn, _mesh(axes2), order) ** p)) * float(np.prod(h * m / m2)), what
     )
     # Halving an O(h^2) rule leaves |I - I_coarse| ~ 3x the fine error for
     # smooth fields; /2 keeps headroom for the kinks |D^l u| introduces.
@@ -364,6 +380,7 @@ def _sup_value(fields: _Fields, order: int) -> NormValue:
             best = float(lf[li])
             center = local[li]
         h = h / 4.0
+    _finite(best, f"the sup of the order-{order} field")
     err = float(max(improvement, np.finfo(float).eps * abs(best)))
     return NormValue(best, err, "grid_sup")
 
@@ -617,6 +634,7 @@ def _seminorm_value(fields: _Fields, order: int, gamma: float, refinements: int 
     total = 0.0
     for key in keys:
         total += sups[key]
+    _finite(total, f"the exponent-{gamma:g} seminorm of the order-{order} field")
     err = float(max(improvement, np.finfo(float).eps * abs(total)))
     return NormValue(total, err, "pair_sup")
 
@@ -632,13 +650,11 @@ def brute_force_holder(
     No refinement, no pruning and no use of the grid's structure: the oracle
     that :func:`holder_seminorm` with ``refinements=0`` must reproduce bit for
     bit. Its cost is quadratic, so grids beyond ``PAIR_POINT_CAP`` points
-    raise OracleTooLarge.
+    raise BadParams.
     """
     gamma = _gamma(gamma)
     if grid.npoints > PAIR_POINT_CAP:
-        raise OracleTooLarge(
-            f"{grid.npoints} points exceed the pair-scan cap of {PAIR_POINT_CAP}"
-        )
+        raise BadParams(f"{grid.npoints} points exceed the pair-scan cap of {PAIR_POINT_CAP}")
     pts = grid.mesh()
     sups, _ = _pair_scan(pts, _exact_order_components(fn, pts, order), gamma)
     total = 0.0
@@ -659,7 +675,8 @@ def _holder_norm(fields: _Fields, lo: int, top: int, gamma: float) -> NormValue:
         if nv.value > sup:
             sup, sup_err = nv.value, nv.error_estimate
     semi = _seminorm_value(fields, top, gamma)
-    return NormValue(sup + semi.value, sup_err + semi.error_estimate, "pair_sup")
+    value = _finite(sup + semi.value, f"the C^{{{top - lo},{gamma:g}}} norm of the order-{lo} field")
+    return NormValue(value, sup_err + semi.error_estimate, "pair_sup")
 
 
 def _slot_norms(

@@ -55,7 +55,7 @@ from typing import Callable, Dict, Sequence
 
 import numpy as np
 
-from .errors import BadParams, DslSyntaxError, JetOrderOverflow, UnknownFamily, UnsupportedDimension
+from .errors import BadParams, DslSyntaxError, JetOrderOverflow
 
 MAX_JET_ORDER = 6
 MAX_DIM = 3
@@ -296,7 +296,7 @@ class TestFunction:
 
     def __post_init__(self):
         if not (1 <= self.ndim <= MAX_DIM):
-            raise UnsupportedDimension(f"ndim={self.ndim} not supported (1..{MAX_DIM})")
+            raise BadParams(f"ndim={self.ndim} not supported (1..{MAX_DIM})")
         # replace() re-runs this check, so every transform's frame passes it too.
         if not all(map(math.isfinite, (self.radius, self.amp, *self.center))):
             center = tuple(map(float, self.center))
@@ -437,8 +437,16 @@ class TestFunction:
 # -- family factories ---------------------------------------------------------
 
 
+def _number(name: str, value) -> float:
+    """``float(value)``, or BadParams naming the argument."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadParams(f"{name} must be a number, got {value!r}") from None
+
+
 def _require_positive(name: str, value: float) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not value > 0:
         raise BadParams(f"{name} must be positive, got {value}")
     return value
@@ -451,9 +459,10 @@ def bump(ndim: int, R: float = 1.0) -> TestFunction:
 
 def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFunction:
     R = _require_positive("R", R)
-    if int(deg) != deg or deg < 0:
+    whole = _number("deg", deg)
+    if not whole.is_integer() or whole < 0:
         raise BadParams(f"deg must be a nonnegative integer, got {deg}")
-    deg = int(deg)
+    deg = int(whole)
     if not (0 <= axis < ndim):
         raise BadParams(f"axis {axis} out of range for ndim={ndim}")
     axis = int(axis)
@@ -468,7 +477,7 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
 
 def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
     R = _require_positive("R", R)
-    omega = float(omega)
+    omega = _number("omega", omega)
     if not math.isfinite(omega):
         raise BadParams(f"omega must be finite, got {omega}")
 
@@ -482,7 +491,7 @@ def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
 
 def plateau(ndim: int, R: float = 1.0, rho: float = 0.5) -> TestFunction:
     R = _require_positive("R", R)
-    rho = float(rho)
+    rho = _number("rho", rho)
     if not (0.0 < rho < 1.0):
         raise BadParams(f"rho must lie strictly between 0 and 1, got {rho}")
 
@@ -524,7 +533,7 @@ def parse_testfn(text: str, ndim: int) -> TestFunction:
     name, argstr = _parse_call(pieces[0])
     factory = FAMILIES.get(name)
     if factory is None:
-        raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(sorted(FAMILIES))}")
+        raise DslSyntaxError(f"unknown family {name!r}; known: {', '.join(sorted(FAMILIES))}")
     kwargs: Dict[str, float] = {}
     if argstr:
         for part in argstr.split(","):

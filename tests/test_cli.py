@@ -440,11 +440,22 @@ def test_removed_flags_rejected(argv, flag):
          "error: radius, center and amp must be finite, got radius=1.0, center=(0.0,), amp=nan"),
         (["check", "--fn", "bump_wave(R=1,omega=nan)", "--n", "1", "--left", "1/4", "--mid", "3/8", "--right", "1/2"],
          "error: omega must be finite, got nan"),
+        (["derive", "--instance", "n=x,k=2,l=1,p=2,r=-1,theta=3/4"],
+         "error: instance key 'n' must be an integer, got 'x'"),
+        # Before, the two norms printed inf with exit 0 and check read ratio 0.0 as a violation (exit 1).
+        (["norm", "--fn", "bump(R=1)*amp(1e308)", "--n", "1", "--s", "0", "--order", "2"],
+         "error: the sup of the order-2 field is inf, not finite"),
+        (["norm", "--fn", "bump(R=1)*amp(1e308)", "--n", "1", "--s", "-1/2", "--order", "1"],
+         "error: the exponent-0.5 seminorm of the order-1 field is inf, not finite"),
+        (["check", "--fn", "bump(R=1)*amp(1e307)", "--n", "1", "--left", "-3", "--mid", "-2", "--right", "-1"],
+         "error: the sup of the order-3 field is inf, not finite"),
     ],
     ids=["zero-exponent", "even-points", "instance-entry", "instance-key", "instance-orders",
          "holder-without-p2", "lp-without-p", "oracle-gamma-as-typed", "oracle-p-as-typed",
-         "instance-repeated-key", "norm-amp-nan", "check-omega-nan"],
+         "instance-repeated-key", "norm-amp-nan", "check-omega-nan", "instance-integer", "norm-sup-overflow",
+         "norm-seminorm-overflow", "check-sup-overflow"],
 )
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_input_errors_exit_two(argv, message):
     code, out, err = run(argv)
     assert (code, out) == (2, "")

@@ -35,7 +35,6 @@ from gninterp.errors import (
     BorderlineIndex,
     BrokenChain,
     InternalBorderline,
-    InvalidBase,
     InvalidInstance,
 )
 from gninterp.indices import InequalityInstance, solve_q
@@ -178,7 +177,7 @@ class TestBaseLemma:
         assert "mixed" in steps[-1].note
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidBase):
+        with pytest.raises(InvalidInstance):
             base_lemma_steps(1, F(3, 2), F(-1))
 
 
@@ -432,10 +431,15 @@ class TestCertificates:
             ("theta=1/2", "theta=1/3", "invalid instance: .*theta=1/3 outside \\[1/2, 1\\]"),
             ("theta=1/2\n", "theta=1/2 bogus=7\n", "unknown keys \\['bogus'\\] in 'n=3 "),
             (" constant=empirical", " extra=5 constant=empirical", "unknown keys \\['extra'\\] in 'in=2,1/2 "),
+            # No step constant is zero, negative or non-finite; before, each verified.
+            ("constant=1.0", "constant=nan", "LEMMA31: constant must be finite and positive, got 'nan'"),
+            ("constant=1.0", "constant=inf", "LEMMA31: constant must be finite and positive, got 'inf'"),
+            ("constant=1.0", "constant=-5.0", "LEMMA31: constant must be finite and positive, got '-5.0'"),
+            ("constant=1.0", "constant=0.0", "LEMMA31: constant must be finite and positive, got '0.0'"),
         ],
         ids=["zero-denominator", "zero-denominator-index", "decimal", "duplicate-instance-key",
              "duplicate-step-key", "zero-dimension", "unbalanced", "theta-window", "unknown-instance-key",
-             "unknown-step-key"],
+             "unknown-step-key", "constant-nan", "constant-inf", "constant-negative", "constant-zero"],
     )
     def test_malformed_fields_are_bad_certificates(self, old, new, message):
         # Not broken chains: the text does not describe a valid instance or step.

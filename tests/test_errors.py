@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import gninterp
+from gninterp import errors
 from gninterp.cli import RunConfig, _index_scale, load_config, parse_instance
 from gninterp.derivation import (
     Slot,
@@ -15,12 +17,22 @@ from gninterp.derivation import (
     format_certificate,
     parse_certificate,
 )
-from gninterp.errors import BadParams, BrokenChain, DslSyntaxError, GNInterpError, InvalidBase
-from gninterp.indices import HolderSignature, InequalityInstance, SpaceIndex
-from gninterp.interp import InterpolationTriple
+from gninterp.errors import BadParams, BrokenChain, DslSyntaxError, GNInterpError, InvalidInstance, MalformedIndex
+from gninterp.indices import (
+    HolderSignature,
+    InequalityInstance,
+    SpaceIndex,
+    as_rational,
+    holder_signature,
+    sobolev_flat,
+    solve_missing,
+    solve_q,
+    solve_theta,
+)
+from gninterp.interp import InterpolationTriple, mixed_case_constant, mixed_case_integral
 from gninterp.measure import check_interpolation, split_sum_inequality
 from gninterp.norms import GridSpec, brute_force_holder, default_grid, holder_seminorm, lp_norm, xnorm
-from gninterp.testfn import bump, bump_poly, bump_wave, parse_testfn
+from gninterp.testfn import bump, bump_poly, bump_wave, parse_testfn, plateau
 
 # Each check that once raised a bare ValueError, with its message. A case gets
 # ``path(text)``, which writes a config file and returns its path; ``{cfg}``
@@ -75,6 +87,13 @@ FORMER_VALUE_ERRORS = {
     "instance-repeated-key": (
         lambda path: parse_instance("n=1,k=2,l=1,p=2,r=-1,theta=3/4,p=4"), "instance key 'p' given twice"
     ),
+    "instance-integer": (
+        lambda path: parse_instance("n=x,k=2,l=1,p=2,r=-1,theta=3/4"), "instance key 'n' must be an integer, got 'x'"
+    ),
+    "bump-radius": (lambda path: bump(1, R="x"), "R must be a number, got 'x'"),
+    "wave-omega": (lambda path: bump_wave(1, omega="x"), "omega must be a number, got 'x'"),
+    "plateau-rho": (lambda path: plateau(1, rho="x"), "rho must be a number, got 'x'"),
+    "poly-deg": (lambda path: bump_poly(1, deg="x"), "deg must be a number, got 'x'"),
 }
 
 
@@ -100,7 +119,9 @@ def _unmatched_exponents():
 
 
 INPUT_CHECKS = {
-    "base-dimension": (lambda: base_lemma_steps(0, F(1, 2), F(-1)), InvalidBase, "dimension must be positive, got n=0"),
+    "base-dimension": (
+        lambda: base_lemma_steps(0, F(1, 2), F(-1)), InvalidInstance, "dimension must be positive, got n=0"
+    ),
     "certificate-exponent-count": (_unmatched_exponents, BrokenChain, "BASE_LEMMA: 2 inputs, 1 exponents"),
     "radius": (lambda: replace(bump(1), radius=0.0), BadParams, "support radius must be positive, got 0.0"),
     "center": (lambda: replace(bump(2), center=(0.0,)), BadParams, "center length does not match ndim"),
@@ -168,3 +189,90 @@ def test_input_checks_raise_their_errors(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message
+
+
+# Every raise site of the classes folded into their families, by the old
+# class name, with the family that raises it now and its unchanged message.
+FOLDED = {
+    "InexactIndex": (lambda: as_rational(0.5), MalformedIndex, "cannot convert float to an exact rational"),
+    "NonHolderIndex": (
+        lambda: holder_signature(SpaceIndex(F(0), 1)), BadParams, "s=0 is not in the Holder range (need s < 0)"
+    ),
+    "ScaleOverflow-index": (
+        lambda: SpaceIndex(F(3, 2), 1), BadParams, "s=3/2 lies above the scale (p in (0,1) is excluded)"
+    ),
+    "ScaleOverflow-flat": (lambda: sobolev_flat(SpaceIndex(F(1), 2)), BadParams, "s=1 + 1/2 = 3/2 exceeds 1"),
+    "UnsupportedDimension": (lambda: bump(4), BadParams, "ndim=4 not supported (1..3)"),
+    "OracleTooLarge": (
+        lambda: brute_force_holder(bump(1), 0, 0.5, GridSpec((-1.05,), (1.05,), 4097)),
+        BadParams,
+        "4097 points exceed the pair-scan cap of 4096",
+    ),
+    "NotInterpolable": (
+        lambda: InterpolationTriple(1, F(1, 2), F(0), F(-1, 2)),
+        BadParams,
+        "scales must be strictly ordered, got 1/2 < 0 < -1/2",
+    ),
+    "IntegralDiverges-kernel": (
+        lambda: mixed_case_integral(1, 0.5, -1.0), BadParams, "integral parameters out of range: n=1, lam2=0.5, p=-1.0"
+    ),
+    "IntegralDiverges-constant": (
+        lambda: mixed_case_constant(1, F(-3, 2), F(1, 2)), BadParams, "scales out of the mixed-case range: -3/2, 1/2"
+    ),
+    "DegenerateCondition-balance": (
+        lambda: solve_theta(1, 2, 1, F(1, 2), F(0), F(-3, 2)),
+        InvalidInstance,
+        "no theta satisfies the balance: sp - k/n = sr = -3/2 but sq - l/n != sr",
+    ),
+    "DegenerateCondition-theta": (
+        lambda: solve_missing(3, 2, 1, sp=F(1, 2), sq=F(1, 12)),
+        InvalidInstance,
+        "cannot solve: theta unknown together with sr",
+    ),
+    "DegenerateCondition-underdetermined": (
+        lambda: solve_missing(3, 2, 1, sp=F(1, 2), theta=F(1, 2)),
+        InvalidInstance,
+        "underdetermined: sq and sr both unknown",
+    ),
+    "IndeterminateTheta": (
+        lambda: solve_theta(1, 2, 1, F(1, 2), F(-1, 2), F(-3, 2)),
+        InvalidInstance,
+        "balance holds for every theta (sp - k/n = sr and sq - l/n = sr)",
+    ),
+    "ThetaOutOfRange": (
+        lambda: solve_q(1, 3, 1, F(1, 2), F(-1), F(1, 4)), InvalidInstance, "theta=1/4 outside [1/3, 1]"
+    ),
+    # The other InvalidBase site, n < 1, is INPUT_CHECKS' base-dimension.
+    "InvalidBase": (
+        lambda: base_lemma_steps(1, F(3, 2), F(-1)),
+        InvalidInstance,
+        "scales must lie at or below 1, got sp=3/2, sr=-1",
+    ),
+    "UnknownFamily": (
+        lambda: parse_testfn("mystery(R=1)", 1),
+        DslSyntaxError,
+        "unknown family 'mystery'; known: bump, bump_poly, bump_wave, plateau",
+    ),
+}
+
+FAMILIES = {
+    "GNInterpError", "BadParams", "MalformedIndex", "BorderlineIndex", "DslSyntaxError", "JetOrderOverflow",
+    "GridTooCoarse", "InvalidInstance", "InternalBorderline", "BrokenChain", "BadCertificate",
+}
+
+
+@pytest.mark.parametrize("call,family,message", FOLDED.values(), ids=FOLDED.keys())
+def test_folded_classes_raise_their_family(call, family, message):
+    with pytest.raises(family) as info:
+        call()
+    assert type(info.value) is family
+    assert str(info.value) == message
+
+
+def test_one_class_per_decision():
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert defined == FAMILIES
+    removed = {name.split("-")[0] for name in FOLDED}
+    assert len(removed) == 12
+    assert not removed & (set(gninterp.__all__) | set(dir(errors)))
+    assert len(gninterp.__all__) == 72
