@@ -7,15 +7,19 @@ joins the legs.  Every step records exact rational slot algebra (which norms
 enter, with which exponents).  :func:`verify_chain` is the one consistency
 check on an assembled chain: it re-verifies that algebra independently of
 how the chain was produced, and whether the chain resolves to the
-instance's slots.  Only the standard library is used here;
-:func:`gninterp.measure.evaluate_chain` measures a chain on a sample
-function, slot by slot.
+instance's slots.  A certificate (:func:`format_certificate`) is read back
+by :func:`parse_certificate`, whose result depends only on its text: the
+deriver and the reader build every slot, exponent tuple and step through
+one constructor per kind, keyed by the full value, so records with equal
+values are one shared object whichever side built them.  Only the standard
+library is used here; :func:`gninterp.measure.evaluate_chain` measures a
+chain on a sample function, slot by slot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Collection, Optional, Sequence
@@ -72,8 +76,11 @@ class Slot:
             object.__setattr__(self, "scale", as_rational(self.scale))
         if self.order < 0:
             raise BadParams(f"derivative order must be >= 0, got {self.order}")
-        # Plain integers for verify_chain's sets: hashing them skips Fraction.__hash__.
+        # Plain integers for __hash__ and verify_chain's sets: hashing them skips Fraction.__hash__.
         object.__setattr__(self, "_key", (self.order, self.scale.numerator, self.scale.denominator))
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def shifted(self, offset: int) -> "Slot":
         return _slot(self.order + offset, self.scale)
@@ -82,10 +89,16 @@ class Slot:
         return f"{self.order},{self.scale}"
 
 
-# Enumerated chains repeat a few thousand distinct slots hundreds of
-# thousands of times, so every slot the derivation builds is interned: one
-# object per (order, scale), looked up by integers (Fraction.__hash__ is slow).
+# Every record a chain holds, derived or read back, is built by one
+# value-keyed constructor per kind (_slot, _step), so chains with equal
+# records share them.  Enumerated chains repeat a few thousand distinct slots
+# hundreds of thousands of times; exponent tuples repeat more still (a few
+# dozen distinct), each kept with its integer key, which the keys of all
+# steps holding it share.  Keys hold integers, strings, floats and interned
+# slots, never a Fraction: Fraction.__hash__ is slow.
 _SLOTS: dict[tuple[int, int, int], Slot] = {}
+_EXPONENTS: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Fraction, ...]]] = {}
+_STEPS: dict[tuple, Step] = {}
 
 
 def _slot(order: int, scale: Fraction) -> Slot:
@@ -94,15 +107,6 @@ def _slot(order: int, scale: Fraction) -> Slot:
     if slot is None:
         slot = _SLOTS[key] = Slot(order, scale)
     return slot
-
-
-# Exponent tuples repeat more still (a few dozen distinct): interned the same way.
-_EXPONENTS: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-
-
-def _exponents(*exps: Fraction) -> tuple[Fraction, ...]:
-    key = tuple(x for e in exps for x in (e.numerator, e.denominator))
-    return _EXPONENTS.setdefault(key, exps)
 
 
 @dataclass(frozen=True)
@@ -121,11 +125,24 @@ class Step:
     note: str = ""
 
     def shifted(self, offset: int) -> "Step":
-        return replace(
-            self,
-            inputs=tuple(sl.shifted(offset) for sl in self.inputs),
-            output=self.output.shifted(offset),
-        )
+        inputs = tuple(sl.shifted(offset) for sl in self.inputs)
+        return _step(self.rule, inputs, self.output.shifted(offset), self.exponents, self.constant, self.note)
+
+
+def _step(
+    rule: str, inputs: tuple[Slot, ...], output: Slot, exponents: Sequence[Fraction],
+    constant: Optional[float] = None, note: str = "",
+) -> Step:
+    exps = tuple(x for e in exponents for x in (e.numerator, e.denominator))
+    shared = _EXPONENTS.get(exps)
+    if shared is None:
+        shared = _EXPONENTS[exps] = (exps, tuple(exponents))
+    exps, exponents = shared
+    key = (rule, inputs, output, exps, constant, note)
+    step = _STEPS.get(key)
+    if step is None:
+        step = _STEPS[key] = Step(rule, inputs, output, exponents, constant, note)
+    return step
 
 
 @dataclass(frozen=True)
@@ -256,8 +273,8 @@ def _descent_step(n: int, order: int, s: Fraction) -> Step:
     nxt = sobolev_sharp(SpaceIndex(s, n))
     out = _slot(order - 1, nxt.s)
     if s < 0:
-        return Step(RULE_IDENTITY, (_slot(order, s),), out, _exponents(Fraction(1)), 1.0)
-    return Step(RULE_SOBOLEV, (_slot(order, s),), out, _exponents(Fraction(1)))
+        return _step(RULE_IDENTITY, (_slot(order, s),), out, (Fraction(1),), 1.0)
+    return _step(RULE_SOBOLEV, (_slot(order, s),), out, (Fraction(1),))
 
 
 def _ascent_step(n: int, order: int, s: Fraction) -> Step:
@@ -271,7 +288,7 @@ def _ascent_step(n: int, order: int, s: Fraction) -> Step:
     target = s + Fraction(1, n)
     const = 1.0 if target < 0 else None
     note = "" if const else "pair quotients on a mesh undershoot the derivative sup"
-    return Step(RULE_IDENTITY, (_slot(order, s),), _slot(order + 1, target), _exponents(Fraction(1)), const, note)
+    return _step(RULE_IDENTITY, (_slot(order, s),), _slot(order + 1, target), (Fraction(1),), const, note)
 
 
 def _interp_step(
@@ -284,7 +301,7 @@ def _interp_step(
     cls = classify_triple(InterpolationTriple(n, lo, mid, hi))
     eta = cls.eta if a == lo else 1 - cls.eta
     note = f"{context} ({cls.case.value})" if context else cls.case.value
-    return Step(rule, (_slot(order, a), _slot(order, b)), _slot(order, mid), _exponents(eta, 1 - eta), cls.bound, note)
+    return _step(rule, (_slot(order, a), _slot(order, b)), _slot(order, mid), (eta, 1 - eta), cls.bound, note)
 
 
 # --- sharp embedding leg ------------------------------------------------------
@@ -381,7 +398,7 @@ def base_lemma_steps(
     const = None
     if cs and None not in cs:
         const = math.sqrt(cs[0] * cs[1]) * math.prod(cs[2:])
-    return (*children, Step(RULE_BASE, parent_inputs, out, _exponents(h, h), const, note))
+    return (*children, _step(RULE_BASE, parent_inputs, out, (h, h), const, note))
 
 
 # --- induction on derivative orders ------------------------------------------
@@ -399,13 +416,13 @@ def _one_k_steps(n: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Step, ...]
     shifted = tuple(st.shifted(1) for st in sub)
     ca, cb = base[-1].constant, sub[-1].constant
     const = None if ca is None or cb is None else (ca * ca * cb) ** ((k - 1) / k)
-    parent = Step(
+    parent = _step(
         RULE_INDUCT_K,
         (_slot(k, sp), _slot(0, sr)),
         _slot(1, sq),
-        _exponents(Fraction(1, k), Fraction(k - 1, k)),
+        (Fraction(1, k), Fraction(k - 1, k)),
         const,
-        note=f"first-order factor absorbed at weight {Fraction(k - 2, k - 1)}",
+        f"first-order factor absorbed at weight {Fraction(k - 2, k - 1)}",
     )
     return base + shifted + (parent,)
 
@@ -422,13 +439,13 @@ def _diag_steps(n: int, l: int, k: int, sp: Fraction, sr: Fraction) -> tuple[Ste
     const = None
     if ca is not None and cb is not None:
         const = float((ca * cb ** Fraction(k - l, k - 1)) ** Fraction((k - 1) * l, k * (l - 1)))
-    parent = Step(
+    parent = _step(
         RULE_INDUCT_DIAG,
         (_slot(k, sp), _slot(0, sr)),
         _slot(l, sq),
-        _exponents(Fraction(l, k), Fraction(k - l, k)),
+        (Fraction(l, k), Fraction(k - l, k)),
         const,
-        note=f"gradient claim at orders ({l - 1}, {k - 1}) and first-order return leg",
+        f"gradient claim at orders ({l - 1}, {k - 1}) and first-order return leg",
     )
     return tuple(st_.shifted(1) for st_ in sub_a) + sub_b + (parent,)
 
@@ -514,11 +531,8 @@ _INSTANCE_FIELDS = {"n": int, "k": int, "l": int, **dict.fromkeys(("sp", "sq", "
 
 def format_certificate(chain: ProofChain) -> str:
     """Serialize a chain to the versioned line format, byte-deterministically."""
-    if len(_WRITTEN) > _WRITTEN_MAX:
-        _WRITTEN.clear()
     inst = chain.instance
     head = "instance " + " ".join(f"{key}={getattr(inst, key)}" for key in _INSTANCE_FIELDS)
-    _WRITTEN[head] = inst
     lines = [f"gninterp-certificate {CERTIFICATE_VERSION}", head, f"steps {len(chain.steps)}"]
     for step in chain.steps:
         ins = ";".join(str(sl) for sl in step.inputs)
@@ -528,13 +542,12 @@ def format_certificate(chain: ProofChain) -> str:
         if step.note:
             line += f" note={step.note}"
         lines.append(line)
-        _WRITTEN[line] = step
     return "\n".join(lines) + "\n"
 
 
 def _parse_slot(text: str) -> Slot:
     order, _, scale = text.partition(",")
-    return Slot(int(order), _parse_rational(scale))
+    return _slot(int(order), _parse_rational(scale))
 
 
 def _key_values(tokens: list[str], keys: Collection[str]) -> dict[str, str]:
@@ -549,21 +562,6 @@ def _key_values(tokens: list[str], keys: Collection[str]) -> dict[str, str]:
     return fields
 
 
-# The instance and step lines format_certificate wrote, each with what it
-# wrote it from, so that a chain read back in the same process shares the
-# written chain's instance and steps (the table starts over past
-# _WRITTEN_MAX lines).  The reader still parses every line and takes the
-# written object only when it equals what it read, so its result never
-# depends on what was written.
-_WRITTEN: dict[str, InequalityInstance | Step] = {}
-_WRITTEN_MAX = 1 << 16
-
-
-def _as_written(line: str, read):
-    written = _WRITTEN.get(line)
-    return written if written == read else read
-
-
 def _read_step(line: str) -> Step:
     body, _, note = line.partition(" note=")
     toks = body.split()
@@ -573,15 +571,14 @@ def _read_step(line: str) -> Step:
     constant = None if kv["constant"] == "empirical" else float(kv["constant"])
     if constant is not None and not 0 < constant < math.inf:
         raise BadCertificate(f"{toks[1]}: constant must be finite and positive, got {kv['constant']!r}")
-    step = Step(
-        rule=toks[1],
-        inputs=tuple(_parse_slot(t) for t in kv["in"].split(";")),
-        output=_parse_slot(kv["out"]),
-        exponents=tuple(_parse_rational(t) for t in kv["exp"].split(";")),
-        constant=constant,
-        note=note,
+    return _step(
+        toks[1],
+        tuple(_parse_slot(t) for t in kv["in"].split(";")),
+        _parse_slot(kv["out"]),
+        tuple(_parse_rational(t) for t in kv["exp"].split(";")),
+        constant,
+        note,
     )
-    return _as_written(line, step)
 
 
 def parse_certificate(text: str) -> ProofChain:
@@ -600,7 +597,6 @@ def parse_certificate(text: str) -> ProofChain:
             raise BadCertificate(f"expected an instance line, got {lines[1]!r}")
         fields = _key_values(tokens, _INSTANCE_FIELDS)
         inst = InequalityInstance(**{key: read(fields[key]) for key, read in _INSTANCE_FIELDS.items()})
-        inst = _as_written(lines[1], inst)
         problems = structural_violations(inst, min_order=0 if inst.theta == 1 else 1)
         if problems:
             raise BadCertificate("invalid instance: " + "; ".join(v.message for v in problems))

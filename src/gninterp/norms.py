@@ -656,10 +656,19 @@ def brute_force_holder(
     if grid.npoints > PAIR_POINT_CAP:
         raise BadParams(f"{grid.npoints} points exceed the pair-scan cap of {PAIR_POINT_CAP}")
     pts = grid.mesh()
-    sups, _ = _pair_scan(pts, _exact_order_components(fn, pts, order), gamma)
+    comps = _exact_order_components(fn, pts, order)
+    # The scan skips a NaN quotient, so a non-finite field would read 0.
+    # Checked here, not through the fast path's checks, to stay independent.
+    for comp in comps.values():
+        bad = comp[~np.isfinite(comp)]
+        if bad.size:
+            raise BadParams(f"the order-{order} field is {bad[0]}, not finite")
+    sups, _ = _pair_scan(pts, comps, gamma)
     total = 0.0
     for key in sorted(sups):
         total += sups[key]
+    if not math.isfinite(total):
+        raise BadParams(f"the exponent-{gamma:g} seminorm of the order-{order} field is {total}, not finite")
     return NormValue(total, float(np.finfo(float).eps * abs(total)), "pair_sup_brute")
 
 

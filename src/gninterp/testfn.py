@@ -47,6 +47,7 @@ Functions can be described by and parsed from compact strings such as
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -463,9 +464,12 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
     if not whole.is_integer() or whole < 0:
         raise BadParams(f"deg must be a nonnegative integer, got {deg}")
     deg = int(whole)
+    try:
+        axis = operator.index(axis)
+    except TypeError:
+        raise BadParams(f"axis must be an integer, got {axis!r}") from None
     if not (0 <= axis < ndim):
         raise BadParams(f"axis {axis} out of range for ndim={ndim}")
-    axis = int(axis)
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
         factor = _power_rows(y[:, axis], deg, order)

@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -354,38 +358,61 @@ class TestCertificates:
         with pytest.raises(BadCertificate, match="orders must satisfy 1 <= l < k"):
             parse_certificate(text.replace("theta=1", "theta=1/2"))
 
-    def test_read_back_chain_shares_the_written_steps(self):
+    def test_read_back_chain_shares_the_derived_steps(self):
         chain = derive_chain(GOLDEN_INSTANCE)
         parsed = parse_certificate(format_certificate(chain))
-        assert parsed.instance is chain.instance
-        assert all(a is b for a, b in zip(parsed.steps, chain.steps))
+        assert parsed.instance == chain.instance
+        assert all(a is b for a, b in zip(parsed.steps, chain.steps, strict=True))
 
-    def test_step_line_never_written_parses_to_an_equal_step(self):
-        # A stored step is taken only when it equals what the reader parsed.
-        chain = derive_chain(GOLDEN_INSTANCE)
-        text = format_certificate(chain)
-        step = chain.steps[0]
-        odd = dataclasses.replace(step, note=step.note + " (not this line's step)")
-        line = text.splitlines()[3]
-        derivation._WRITTEN[line] = odd
-        try:
-            parsed = parse_certificate(text)
-        finally:
-            derivation._WRITTEN[line] = step
-        assert parsed.steps[0] == step and parsed.steps[0] is not odd
-
-    def test_written_lines_table_starts_over_when_full(self, monkeypatch):
-        monkeypatch.setattr(derivation, "_WRITTEN", {"stale": None})
-        monkeypatch.setattr(derivation, "_WRITTEN_MAX", 0)
+    def test_edited_certificate_reads_its_own_values(self):
+        # A derived chain's records are shared by value, so an edited line
+        # reads as edited: no derived step stands in for it.
         chain = derive_chain(GOLDEN_INSTANCE)
         lines = format_certificate(chain).splitlines()
-        assert derivation._WRITTEN.keys() == {lines[1], *lines[3:]}
+        lines[5] = lines[5].replace("constant=1.0", "constant=3.5")
+        lines[6] = lines[6].replace("note=first-order route", "note=edited route")
+        parsed = parse_certificate("\n".join(lines) + "\n")
+        assert parsed.steps[2] == dataclasses.replace(chain.steps[2], constant=3.5)
+        assert parsed.steps[3] == dataclasses.replace(chain.steps[3], note="edited route (lebesgue)")
+        assert not {id(st) for st in parsed.steps[2:]} & {id(st) for st in chain.steps}
+        assert parsed.steps[:2] == chain.steps[:2]
+
+    def test_formatting_writes_no_module_state(self):
+        # Scales outside the criterion-8 window: no other test formats this chain.
+        chain = derive_chain(make_instance(2, 4, 2, F(-1, 7), F(-5, 2), F(3, 4)))
+
+        def sizes():
+            return {name: len(v) for name, v in vars(derivation).items() if isinstance(v, (dict, list, set))}
+
+        before = sizes()
+        format_certificate(chain)
+        assert sizes() == before
+
+    def test_fresh_interpreter_reads_the_same_chain(self):
+        # The reader shares no table with the writer: a certificate read in a
+        # process that derived nothing re-formats to the same bytes.
+        text = format_certificate(derive_chain(make_instance(1, 3, 2, F(-1, 2), F(-1, 2), F(2, 3))))
+        code = (
+            "import sys; from gninterp.derivation import format_certificate, parse_certificate; "
+            "sys.stdout.write(format_certificate(parse_certificate(sys.stdin.read())))"
+        )
+        path = os.pathsep.join(filter(None, (str(Path(derivation.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input=text, capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout == format_certificate(parse_certificate(text)) == text
 
     def test_derived_slots_and_exponents_are_interned(self):
         a, b = derive_chain(GOLDEN_INSTANCE), derive_chain(GOLDEN_INSTANCE)
-        for x, y in zip(a.steps, b.steps):
+        for x, y in zip(a.steps, b.steps, strict=True):
+            assert x is y
             assert all(s is t for s, t in zip((*x.inputs, x.output), (*y.inputs, y.output)))
             assert x.exponents is y.exponents
+        # Shifted legs are built by the same constructor.
+        step = a.steps[0]
+        assert step.shifted(1) is step.shifted(1)
+        assert step.shifted(1).shifted(-1) is step
 
     def test_determinism_across_runs(self):
         a = format_certificate(derive_chain(GOLDEN_INSTANCE))

@@ -129,6 +129,9 @@ INPUT_CHECKS = {
     "translate": (lambda: bump(3).translate([0.1, 0.2]), BadParams, "shift has 2 entries for ndim=3"),
     "jet-points": (lambda: bump(3).jet(np.zeros((4, 2)), 0), BadParams, "points have dimension 2, function has 3"),
     "deg": (lambda: bump_poly(1, deg=-1), BadParams, "deg must be a nonnegative integer, got -1"),
+    # An axis is read as an index: int() would truncate 0.5 to axis 0.
+    "axis-float": (lambda: bump_poly(2, axis=0.5), BadParams, "axis must be an integer, got 0.5"),
+    "axis-string": (lambda: bump_poly(2, axis="x"), BadParams, "axis must be an integer, got 'x'"),
     "dsl-translate": (
         lambda: parse_testfn("bump(R=1)*translate()", 1), DslSyntaxError, "translate needs at least one coordinate"
     ),

@@ -222,13 +222,18 @@ class TestLpNorm:
         # Every entry of the pair field is -inf, so every quotient is NaN and the scan alone would read 0.
         (lambda: holder_seminorm(bump(1).scaled(1e308), 2, 0.5, grid=GridSpec((-0.01,), (0.01,), 129)),
          "the order-2 field is -inf, not finite"),
+        # The brute-force oracle checks its own fields and total, apart from the fast path's checks.
+        (lambda: brute_force_holder(bump(1).scaled(1e308), 2, 0.5, GridSpec((-0.01,), (0.01,), 129)),
+         "the order-2 field is -inf, not finite"),
         # Finite fields whose difference quotients overflow.
         (lambda: holder_seminorm(bump(1).scaled(1e308), 1, 0.5),
+         "the exponent-0.5 seminorm of the order-1 field is inf, not finite"),
+        (lambda: brute_force_holder(bump(1).scaled(1e308), 1, 0.5, default_grid(bump(1), "pair")),
          "the exponent-0.5 seminorm of the order-1 field is inf, not finite"),
         # A finite sup and a finite seminorm whose sum overflows.
         (lambda: xnorm(bump(1).scaled(1.7e308), -1), "the C^{0,1} norm of the order-0 field is inf, not finite"),
     ],
-    ids=["sup", "pair-field", "seminorm", "holder-sum"],
+    ids=["sup", "pair-field", "brute", "seminorm", "brute-seminorm", "holder-sum"],
 )
 def test_overflowing_norms_rejected(norm, message):
     # Before, each printed inf; a check then read a ratio of 0.0 as a violation.
