@@ -133,7 +133,10 @@ def _step(
     rule: str, inputs: tuple[Slot, ...], output: Slot, exponents: Sequence[Fraction],
     constant: Optional[float] = None, note: str = "",
 ) -> Step:
-    exps = tuple(x for e in exponents for x in (e.numerator, e.denominator))
+    try:
+        exps = tuple(x for e in exponents for x in (e.numerator, e.denominator))
+    except AttributeError:
+        raise BrokenChain(f"{rule}: exponents {tuple(exponents)} are not exact rationals") from None
     shared = _EXPONENTS.get(exps)
     if shared is None:
         shared = _EXPONENTS[exps] = (exps, tuple(exponents))

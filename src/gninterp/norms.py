@@ -18,14 +18,15 @@ exactly the orders read: the lp grid's refined mesh (Simpson) and its nodes
 as the exact-order components of one jet at the highest Holder order. The
 nodes are the refined mesh's even-index nodes, so a sup order that is also
 an lp order is sliced, not evaluated. Sup parts of Holder norms take the max
-across orders; seminorm parts sum the per-component pair sups. The local
-clouds of the sup and pair refinements are still evaluated per norm and
-round.
+across orders; seminorm parts sum the per-component pair sups. A field set
+refines all its Holder reads together, each distinct (order, gamma) once, on
+one jet per round; the sup refinements remain one cloud per order and round.
 
 :func:`holder_seminorm` and its oracle :func:`brute_force_holder` scan pairs
 with separate routines that share one thing, :func:`_pair_denominators`: the
 separation mask and ``|x-y|^gamma`` from squared distances. The fast scan
-walks lattice offsets of the uniform grid and prunes; the oracle sweeps
+walks lattice offsets of the uniform grid and prunes, and its refine
+clouds get a scan of their own (:func:`_cloud_scan`); the oracle sweeps
 every ordered pair in row-major chunks and uses nothing of the grid's
 structure. With refinement turned off the two agree bit for bit on the same
 grid, attaining pairs included, which the tests check rather than assume.
@@ -606,37 +607,64 @@ def holder_seminorm(
     refinements = _integer(refinements, "refinements")
     if refinements < 0:
         raise BadParams(f"refinements must be >= 0, got {refinements}")
-    return _seminorm_value(_Fields(fn, pair_grid=grid, pair=(order,)), order, gamma, refinements)
+    return _seminorm_values(_Fields(fn, pair_grid=grid, pair=(order,)), [(order, gamma)], refinements)[order, gamma]
 
 
-def _seminorm_value(fields: _Fields, order: int, gamma: float, refinements: int = 3) -> NormValue:
-    comps = fields.pair[order]
-    grid = fields.pair_grid
-    sups, pairs = _grid_pair_scan(grid, comps, gamma)
+def _cloud_scan(points: np.ndarray, v: np.ndarray, gamma: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The best quotient among all pairs of rows of ``points`` and the first
+    pair in row-major order that attains it: a refine cloud's scan.
 
-    keys = sorted(comps)
-    improvement = 0.0
-    h = grid.spacing()
-    for _ in range(refinements):
-        # Components refine independently; one jet serves every cloud, and
-        # each cloud is 5 points per axis around both ends of its pair.
-        local = _clouds(np.array([c for key in keys for c in pairs[key]]), h, 5)
-        jet = fields.fn.jet(local, order)
-        size = local.shape[0] // len(keys)
-        for i, key in enumerate(keys):
+    Squared distances add one axis at a time, in axis order, as in
+    :func:`_grid_pair_scan`, then :func:`_pair_denominators`; the result
+    equals :func:`_pair_scan` on the cloud bit for bit, a property the tests
+    check."""
+    dist_sq = 0.0
+    for col in points.T:
+        dist_sq = dist_sq + (col[:, None] - col[None, :]) ** 2
+    ok, denom = _pair_denominators(dist_sq, gamma)
+    q = np.where(ok, np.abs(v[:, None] - v[None, :]) / denom, 0.0)
+    i, j = divmod(int(np.argmax(q)), v.size)
+    return float(q[i, j]), points[i], points[j]
+
+
+def _seminorm_values(
+    fields: _Fields, reads: Collection[tuple[int, float]], refinements: int = 3
+) -> Dict[tuple[int, float], NormValue]:
+    """The exponent-``gamma`` seminorm at ``order`` for each distinct
+    ``(order, gamma)`` read, all refined together.
+
+    Each read gets its own global scan. Each refine round then takes one
+    jet, at the highest order read, on the clouds of every (read, component)
+    stacked in order: 5 points per axis around both ends of the best pair.
+    A jet row depends on its point alone, so every cloud reads the floats a
+    jet of its own would give.
+    """
+    scans = {read: _grid_pair_scan(fields.pair_grid, fields.pair[read[0]], read[1]) for read in reads}
+    jobs = [(read, key) for read in scans for key in sorted(fields.pair[read[0]])]
+    improvement = dict.fromkeys(scans, 0.0)
+    h = fields.pair_grid.spacing()
+    for _ in range(refinements if jobs else 0):
+        local = _clouds(np.array([c for read, key in jobs for c in scans[read][1][key]]), h, 5)
+        jet = fields.fn.jet(local, max(order for order, _ in scans))
+        size = local.shape[0] // len(jobs)
+        for i, (read, key) in enumerate(jobs):
             part = slice(i * size, (i + 1) * size)
-            lsup, lpair = _pair_scan(local[part], {key: jet[key][part]}, gamma)
-            if lsup[key] > sups[key]:
-                improvement = max(improvement, lsup[key] - sups[key])
-                sups[key] = lsup[key]
-                pairs[key] = lpair[key]
+            sups, pairs = scans[read]
+            lsup, a, b = _cloud_scan(local[part], jet[key][part], read[1])
+            if lsup > sups[key]:
+                improvement[read] = max(improvement[read], lsup - sups[key])
+                sups[key], pairs[key] = lsup, (a, b)
         h = h / 4.0
-    total = 0.0
-    for key in keys:
-        total += sups[key]
-    _finite(total, f"the exponent-{gamma:g} seminorm of the order-{order} field")
-    err = float(max(improvement, np.finfo(float).eps * abs(total)))
-    return NormValue(total, err, "pair_sup")
+        del jet  # freed before the next round's is built: holding both costs peak RSS
+    out = {}
+    for (order, gamma), (sups, _) in scans.items():
+        total = 0.0
+        for key in sorted(sups):
+            total += sups[key]
+        _finite(total, f"the exponent-{gamma:g} seminorm of the order-{order} field")
+        err = float(max(improvement[order, gamma], np.finfo(float).eps * abs(total)))
+        out[order, gamma] = NormValue(total, err, "pair_sup")
+    return out
 
 
 def brute_force_holder(
@@ -675,15 +703,14 @@ def brute_force_holder(
 # -- scale-indexed dispatch ---------------------------------------------------
 
 
-def _holder_norm(fields: _Fields, lo: int, top: int, gamma: float) -> NormValue:
-    """The largest grid sup over orders ``lo .. top`` plus the
+def _holder_norm(fields: _Fields, lo: int, top: int, gamma: float, semi: NormValue) -> NormValue:
+    """The largest grid sup over orders ``lo .. top`` plus ``semi``, the
     exponent-``gamma`` seminorm at order ``top``; error estimates add."""
     sup = sup_err = 0.0
     for m in range(lo, top + 1):
         nv = _sup_value(fields, m)
         if nv.value > sup:
             sup, sup_err = nv.value, nv.error_estimate
-    semi = _seminorm_value(fields, top, gamma)
     value = _finite(sup + semi.value, f"the C^{{{top - lo},{gamma:g}}} norm of the order-{lo} field")
     return NormValue(value, sup_err + semi.error_estimate, "pair_sup")
 
@@ -698,31 +725,43 @@ def _slot_norms(
     """:func:`xnorm` of each ``(scale, order)`` slot, all read from one :class:`_Fields`.
 
     Every slot is checked, and the orders it reads collected, before the
-    fields are evaluated; then each slot reduces its fields in turn.
+    fields are evaluated. The distinct Holder seminorm reads are then
+    refined together (:func:`_seminorm_values`), and each distinct read is
+    reduced once: repeated slots share one NormValue.
     """
     if mode not in ("full", "seminorm"):
         raise BadParams(f"mode must be 'full' or 'seminorm', got {mode!r}")
-    lp, sup, pair = set(), set(), set()
+    lp, sup, holder = set(), set(), {}
     reads = []
     for s, order in slots:
         idx = SpaceIndex(s, fn.ndim)
         if idx.s > 0:
-            reads.append((_lp_value, _finite_exponent(1 / idx.s), order))
+            reads.append(("lp", order, _finite_exponent(1 / idx.s)))
             lp.add(order)
         elif idx.s == 0:
-            reads.append((_sup_value, order))
+            reads.append(("sup", order, None))
             sup.add(order)
         else:
             sig = holder_signature(idx)
-            top = order + sig.p1
-            pair.add(top)
-            if mode == "seminorm":
-                reads.append((_seminorm_value, top, float(sig.p2)))
-            else:
-                reads.append((_holder_norm, order, top, float(sig.p2)))
-                sup.update(range(order, top + 1))
-    fields = _Fields(fn, lp_grid, pair_grid, lp, sup, pair)
-    return [read(fields, *args) for read, *args in reads]
+            semi = (order + sig.p1, float(sig.p2))
+            holder[semi] = None
+            reads.append((mode, order, semi))
+            if mode == "full":
+                sup.update(range(order, semi[0] + 1))
+    fields = _Fields(fn, lp_grid, pair_grid, lp, sup, {top for top, _ in holder})
+    semis = _seminorm_values(fields, holder)
+    values = {}
+    for read in dict.fromkeys(reads):
+        kind, order, arg = read
+        if kind == "lp":
+            values[read] = _lp_value(fields, arg, order)
+        elif kind == "sup":
+            values[read] = _sup_value(fields, order)
+        elif kind == "seminorm":
+            values[read] = semis[arg]
+        else:
+            values[read] = _holder_norm(fields, order, *arg, semis[arg])
+    return [values[read] for read in reads]
 
 
 def xnorm(
@@ -767,6 +806,6 @@ def check_holder_equality(
     down = holder_signature(SpaceIndex(idx.s - Fraction(1, fn.ndim), fn.ndim))
     tops = (down.p1, 1 + sig.p1)
     fields = _Fields(fn, lp_grid, pair_grid, sup=range(1, max(tops) + 1), pair=tops)
-    lhs = _holder_norm(fields, 1, down.p1, float(down.p2))
-    rhs = _holder_norm(fields, 1, 1 + sig.p1, float(sig.p2))
-    return lhs, rhs
+    reads = [(down.p1, float(down.p2)), (1 + sig.p1, float(sig.p2))]
+    semis = _seminorm_values(fields, reads)
+    return tuple(_holder_norm(fields, 1, *read, semis[read]) for read in reads)

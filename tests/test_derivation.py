@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gninterp import derivation, measure
@@ -270,6 +271,14 @@ class TestExactVerification:
         bad = dataclasses.replace(chain.steps[2], exponents=(F(1, 2), F(1, 3)))
         with pytest.raises(BrokenChain):
             verify_step(bad, GOLDEN_INSTANCE.n)
+
+    def test_shifting_float_exponents_is_a_broken_chain(self):
+        # The step constructor reads exponents as exact rationals, as verify_step does.
+        step = Step("LEMMA31", (Slot(0, F(1)),), Slot(1, F(4, 3)), (1.0,), 1.0)
+        with pytest.raises(BrokenChain, match=r"exponents \(1.0,\) are not exact rationals"):
+            step.shifted(1)
+        with pytest.raises(BrokenChain, match=r"exponents \(1.0,\) are not exact rationals"):
+            verify_step(step, 1)
 
     def test_tampered_output_scale_detected(self):
         chain = derive_chain(GOLDEN_INSTANCE)
@@ -549,6 +558,19 @@ class TestNumericWalk:
         for sl, nv in ev.norms:
             alone = xnorm(fn, sl.scale, order=sl.order, mode="seminorm", lp_grid=lp_grid)
             assert (nv.value, nv.error_estimate) == (alone.value, alone.error_estimate), sl
+
+    def test_holder_reads_refine_on_one_jet_per_round(self, monkeypatch):
+        # Holder seminorms at orders 0 and 1: one jet on the pair mesh, then
+        # one jet per refine round for the clouds of every read and component.
+        chain = derive_chain(make_instance(2, 3, 1, F(3, 4), F(-1, 2), F(2, 3)))
+        fn = bump_poly(2, deg=2).translate(0.1)
+        lp_grid = dataclasses.replace(default_grid(fn, "lp"), points_per_axis=65)
+        calls = record_mesh_evaluations(monkeypatch)
+        ev = evaluate_chain(chain, fn, lp_grid=lp_grid)
+        assert {sl.order for sl, _ in ev.norms if sl.scale < 0} == {0, 1}
+        mesh = default_grid(fn, "pair").mesh()
+        jets = [(np.array_equal(points, mesh), orders) for _, kind, points, orders in calls if kind == "jet"]
+        assert jets == [(True, (1,))] + [(False, (1,))] * 3
 
     def test_sup_nodes_are_sliced_from_the_fine_field(self, monkeypatch):
         # Sup of order 1 and Lebesgue norms of order 1: the lp nodes need no evaluation.

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gninterp import testfn
+from gninterp import norms, testfn
 from gninterp.errors import BadParams, GridTooCoarse
 from gninterp.norms import (
     PAIR_POINT_CAP,
     GridSpec,
     _clouds,
+    _cloud_scan,
     _exact_order_components,
     _grid_pair_scan,
     _max_component_field,
     _mesh,
     _pair_scan,
     _simpson_integral,
+    _slot_norms,
     brute_force_holder,
     check_holder_equality,
     default_grid,
@@ -359,33 +361,85 @@ class TestHolderSeminorm:
 
     @pytest.mark.parametrize("fn,order", [(bump(2), 1), (bump_poly(3, deg=1), 1)])
     def test_refinement_matches_full_rescan(self, fn, order):
-        # The refine loop scans each component on its own cloud, with one jet
-        # per round; the reference rescans every component on every cloud.
         grid = default_grid(fn, "pair")
-        pts = grid.mesh()
-        sups, pairs = _pair_scan(pts, _exact_order_components(fn, pts, order), 0.5)
-        improvement = 0.0
-        for key in sorted(sups):
-            h = grid.spacing()
-            for _ in range(3):
-                cloud = []
-                for c in pairs[key]:
-                    axes = [np.linspace(c[i] - h[i], c[i] + h[i], 5) for i in range(fn.ndim)]
-                    mesh = np.meshgrid(*axes, indexing="ij")
-                    cloud.append(np.stack([g.ravel() for g in mesh], axis=-1))
-                local = np.concatenate(cloud, axis=0)
-                comps = _exact_order_components(fn, local, order)
-                lsup, lpair = _pair_scan(local, comps, 0.5)
-                if lsup[key] > sups[key]:
-                    improvement = max(improvement, lsup[key] - sups[key])
-                    sups[key], pairs[key] = lsup[key], lpair[key]
-                h = h / 4.0
-        total = 0.0
-        for key in sorted(sups):
-            total += sups[key]
         semi = holder_seminorm(fn, order, 0.5, grid=grid)
-        assert semi.value == total
-        assert semi.error_estimate == max(improvement, np.finfo(float).eps * total)
+        assert (semi.value, semi.error_estimate) == _rescanned_seminorm(fn, order, 0.5, grid)
+
+    def test_several_reads_match_full_rescan(self):
+        # Two orders, two exponents, a repeated slot, and a second slot with
+        # the read (1, 1/2): every read is refined on the shared jets, once.
+        fn = bump_poly(2, deg=1).translate([0.1, -0.05])
+        slots = [(F(-1, 4), 0), (F(-1, 2), 0), (F(-1, 4), 1), (F(-3, 4), 0), (F(-1, 4), 0), (F(-1, 2), 1)]
+        reads = [(0, 0.5), (0, 1.0), (1, 0.5), (1, 0.5), (0, 0.5), (1, 1.0)]
+        values = _slot_norms(fn, slots, "seminorm")
+        grid = default_grid(fn, "pair")
+        for nv, (order, gamma) in zip(values, reads):
+            assert (nv.value, nv.error_estimate) == _rescanned_seminorm(fn, order, gamma, grid), (order, gamma)
+        assert values[4] is values[0] and values[3] is values[2]
+
+    def test_one_global_scan_per_distinct_read(self, monkeypatch):
+        scans = []
+
+        def recording(grid, comps, gamma):
+            scans.append((sum(next(iter(comps))), gamma))
+            return _grid_pair_scan(grid, comps, gamma)
+
+        monkeypatch.setattr(norms, "_grid_pair_scan", recording)
+        slots = [(F(-1, 4), 0), (F(-3, 4), 0), (F(-1, 4), 1), (F(-1, 2), 0), (F(-1, 4), 0)]
+        full = _slot_norms(bump(2), slots, "full")
+        assert scans == [(0, 0.5), (1, 0.5), (0, 1.0)]
+        assert full[4] is full[0] and full[1] is not full[2]
+
+
+def _rescanned_seminorm(fn, order, gamma, grid):
+    """``holder_seminorm``'s value and error estimate, rebuilt from the brute
+    sweep: each component refines on its own cloud, with a jet of its own order."""
+    pts = grid.mesh()
+    sups, pairs = _pair_scan(pts, _exact_order_components(fn, pts, order), gamma)
+    improvement = 0.0
+    for key in sorted(sups):
+        h = grid.spacing()
+        for _ in range(3):
+            cloud = []
+            for c in pairs[key]:
+                axes = [np.linspace(c[i] - h[i], c[i] + h[i], 5) for i in range(fn.ndim)]
+                mesh = np.meshgrid(*axes, indexing="ij")
+                cloud.append(np.stack([g.ravel() for g in mesh], axis=-1))
+            local = np.concatenate(cloud, axis=0)
+            lsup, lpair = _pair_scan(local, _exact_order_components(fn, local, order), gamma)
+            if lsup[key] > sups[key]:
+                improvement = max(improvement, lsup[key] - sups[key])
+                sups[key], pairs[key] = lsup[key], lpair[key]
+            h = h / 4.0
+    total = 0.0
+    for key in sorted(sups):
+        total += sups[key]
+    return total, max(improvement, np.finfo(float).eps * total)
+
+
+class TestCloudScan:
+    """The refine loop's cloud scan against the brute sweep, value and pair."""
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("field", ["wave", "constant", "symmetric"])
+    def test_matches_brute_sweep(self, n, gamma, field):
+        h = np.full(n, 0.3)
+        if field == "symmetric":
+            # One cloud around the origin, twice: every quotient is met by
+            # many pairs, and the brute sweep's first must win.
+            local = _clouds(np.zeros((2, n)), h, 5)
+            v = bump(n).jet(local, 0)[(0,) * n]
+        else:
+            local = _clouds(np.array([[0.2] * n, [-0.35] * n]), h, 5)
+            v = bump_wave(n, omega=3.0).jet(local, 1)[(1,) + (0,) * (n - 1)]
+            if field == "constant":
+                v = np.full_like(v, 0.75)
+        want_sups, want_pairs = _pair_scan(local, {"v": v}, gamma)
+        got, a, b = _cloud_scan(local, v, gamma)
+        assert got == want_sups["v"]
+        assert np.array_equal(a, want_pairs["v"][0]) and np.array_equal(b, want_pairs["v"][1])
+        assert (got == 0.0) is (field == "constant")
 
 
 # Boxes with unequal per-axis widths, centred (symmetric functions give tied
