@@ -16,11 +16,12 @@ exactly the orders read: the lp grid's refined mesh (Simpson) and its nodes
 (sup) as the pointwise max over the components of each total order, from
 :meth:`TestFunction._max_abs_fields`, and the pair grid's mesh (Holder scans)
 as the exact-order components of one jet at the highest Holder order. The
-nodes are the refined mesh's even-index nodes, so a sup order that is also
-an lp order is sliced, not evaluated. Sup parts of Holder norms take the max
-across orders; seminorm parts sum the per-component pair sups. A field set
-refines all its Holder reads together, each distinct (order, gamma) once, on
-one jet per round; the sup refinements remain one cloud per order and round.
+nodes are the refined mesh's even-index nodes: every lp order is sliced
+there for Simpson's coarse pass, and a sup order that is also an lp order
+is not evaluated again. Each read of a field set is reduced once: each sup
+order is refined once, however many Holder norms take the max over it, and
+the Holder seminorm reads together, each distinct (order, gamma) once, on
+one jet per round; seminorm parts sum the per-component pair sups.
 
 :func:`holder_seminorm` and its oracle :func:`brute_force_holder` scan pairs
 with separate routines that share one thing, :func:`_pair_denominators`: the
@@ -168,11 +169,6 @@ class NormValue:
         return self.value
 
 
-def _max_component_field(fn: TestFunction, pts: np.ndarray, order: int) -> np.ndarray:
-    """Pointwise max of |D^alpha u| over all alpha of the given total order."""
-    return fn._max_abs_fields(pts, (order,))[order]
-
-
 def _finite_exponent(p: float | Fraction) -> float:
     """``p`` checked to satisfy 1 <= p < inf, as given, then as a float."""
     if not 1 <= p < math.inf:
@@ -212,11 +208,13 @@ class _Fields:
     refined mesh (Simpson), ``sup`` on the lp grid's nodes (grid sups) and
     ``pair`` on the pair grid's mesh (Holder scans). The first two hold one
     max-component field per order from one :meth:`TestFunction._max_abs_fields`
-    pass per point set; the nodes are the refined mesh's even-index nodes, so
-    a sup order that is also an lp order is sliced from the refined field.
-    The pair mesh holds the exact-order components of one ``fn.jet`` at the
-    highest pair order. An even lp point count raises BadParams before any
-    evaluation.
+    pass per point set. The nodes are the refined mesh's even-index nodes, so
+    every lp order is sliced there too, for Simpson's coarse pass, and a sup
+    order that is also an lp order is not evaluated again. The pair mesh
+    holds the exact-order components of one ``fn.jet`` at the highest pair
+    order. An even lp point count raises BadParams before any evaluation.
+    Callers reduce each read once: one sup table (:func:`_sup_value` per
+    order) and one :func:`_seminorm_values` call per field set.
     """
 
     def __init__(
@@ -237,7 +235,7 @@ class _Fields:
         self.fine = fn._max_abs_fields(fine.mesh(), lp) if lp else {}
         even = (slice(None, None, 2),) * fn.ndim
         shape = (fine.points_per_axis,) * fn.ndim
-        self.nodes = {m: self.fine[m].reshape(shape)[even].ravel() for m in set(sup) & set(self.fine)}
+        self.nodes = {m: field.reshape(shape)[even].ravel() for m, field in self.fine.items()}
         rest = set(sup) - set(self.fine)
         if rest:
             self.nodes.update(fn._max_abs_fields(self.lp_grid.mesh(), rest))
@@ -288,14 +286,9 @@ def lp_norm(
 
 def _lp_value(fields: _Fields, p: float, order: int) -> NormValue:
     grid = fields.lp_grid
-    fine = grid.refined()
-    field = fields.fine[order] ** p
-    # The coarse grid's nodes are the fine grid's even-index nodes.
-    even = (slice(None, None, 2),) * grid.ndim
-    coarse = field.reshape((fine.points_per_axis,) * grid.ndim)[even]
     what = f"the L^{p:g} integral of the order-{order} field"
-    ic = _finite(_simpson_integral(np.ascontiguousarray(coarse), grid), what)
-    i_f = _finite(_simpson_integral(field, fine), what)
+    ic = _finite(_simpson_integral(fields.nodes[order] ** p, grid), what)
+    i_f = _finite(_simpson_integral(fields.fine[order] ** p, grid.refined()), what)
     if ic == 0.0 and i_f == 0.0:
         return NormValue(0.0, 0.0, "simpson+richardson")
     denom = max(abs(i_f), abs(ic))
@@ -330,7 +323,7 @@ def lp_norm_midpoint_oracle(
     lo = np.asarray(grid.lo)
     h = (np.asarray(grid.hi) - lo) / m
     axes = [lo[i] + (np.arange(m) + 0.5) * h[i] for i in range(grid.ndim)]
-    field = _max_component_field(fn, _mesh(axes), order) ** p
+    field = fn._max_abs_fields(_mesh(axes), (order,))[order] ** p
     what = f"the L^{p:g} integral of the order-{order} field"
     integral = _finite(float(np.sum(field.reshape((m,) * grid.ndim))) * float(np.prod(h)), what)
     if integral <= 0.0:
@@ -339,9 +332,8 @@ def lp_norm_midpoint_oracle(
     # Midpoint is O(h^2); estimate via a half-resolution pass.
     m2 = m // 2
     axes2 = [lo[i] + (np.arange(m2) + 0.5) * (h[i] * m / m2) for i in range(grid.ndim)]
-    coarse = _finite(
-        float(np.sum(_max_component_field(fn, _mesh(axes2), order) ** p)) * float(np.prod(h * m / m2)), what
-    )
+    coarse_field = fn._max_abs_fields(_mesh(axes2), (order,))[order] ** p
+    coarse = _finite(float(np.sum(coarse_field)) * float(np.prod(h * m / m2)), what)
     # Halving an O(h^2) rule leaves |I - I_coarse| ~ 3x the fine error for
     # smooth fields; /2 keeps headroom for the kinks |D^l u| introduces.
     err_int = abs(integral - coarse) / 2.0
@@ -374,7 +366,7 @@ def _sup_value(fields: _Fields, order: int) -> NormValue:
     improvement = 0.0
     for _ in range(_SUP_REFINEMENTS):
         local = _clouds(center[None], h, 9)
-        lf = _max_component_field(fields.fn, local, order)
+        lf = fields.fn._max_abs_fields(local, (order,))[order]
         li = int(np.argmax(lf))
         if float(lf[li]) > best:
             improvement = float(lf[li]) - best
@@ -703,16 +695,12 @@ def brute_force_holder(
 # -- scale-indexed dispatch ---------------------------------------------------
 
 
-def _holder_norm(fields: _Fields, lo: int, top: int, gamma: float, semi: NormValue) -> NormValue:
-    """The largest grid sup over orders ``lo .. top`` plus ``semi``, the
+def _holder_norm(sups: Mapping[int, NormValue], lo: int, top: int, gamma: float, semi: NormValue) -> NormValue:
+    """The largest of the grid sups ``sups[lo .. top]`` plus ``semi``, the
     exponent-``gamma`` seminorm at order ``top``; error estimates add."""
-    sup = sup_err = 0.0
-    for m in range(lo, top + 1):
-        nv = _sup_value(fields, m)
-        if nv.value > sup:
-            sup, sup_err = nv.value, nv.error_estimate
-    value = _finite(sup + semi.value, f"the C^{{{top - lo},{gamma:g}}} norm of the order-{lo} field")
-    return NormValue(value, sup_err + semi.error_estimate, "pair_sup")
+    sup = max((sups[m] for m in range(lo, top + 1)), key=lambda nv: nv.value)
+    value = _finite(sup.value + semi.value, f"the C^{{{top - lo},{gamma:g}}} norm of the order-{lo} field")
+    return NormValue(value, sup.error_estimate + semi.error_estimate, "pair_sup")
 
 
 def _slot_norms(
@@ -726,8 +714,9 @@ def _slot_norms(
 
     Every slot is checked, and the orders it reads collected, before the
     fields are evaluated. The distinct Holder seminorm reads are then
-    refined together (:func:`_seminorm_values`), and each distinct read is
-    reduced once: repeated slots share one NormValue.
+    refined together (:func:`_seminorm_values`), each sup order once into
+    the table the Holder norms read, and each distinct read is reduced
+    once: repeated slots share one NormValue.
     """
     if mode not in ("full", "seminorm"):
         raise BadParams(f"mode must be 'full' or 'seminorm', got {mode!r}")
@@ -750,17 +739,18 @@ def _slot_norms(
                 sup.update(range(order, semi[0] + 1))
     fields = _Fields(fn, lp_grid, pair_grid, lp, sup, {top for top, _ in holder})
     semis = _seminorm_values(fields, holder)
+    sups = {m: _sup_value(fields, m) for m in sorted(sup)}
     values = {}
     for read in dict.fromkeys(reads):
         kind, order, arg = read
         if kind == "lp":
             values[read] = _lp_value(fields, arg, order)
         elif kind == "sup":
-            values[read] = _sup_value(fields, order)
+            values[read] = sups[order]
         elif kind == "seminorm":
             values[read] = semis[arg]
         else:
-            values[read] = _holder_norm(fields, order, *arg, semis[arg])
+            values[read] = _holder_norm(sups, order, *arg, semis[arg])
     return [values[read] for read in reads]
 
 
@@ -805,7 +795,9 @@ def check_holder_equality(
     sig = holder_signature(idx)  # s < 0 check
     down = holder_signature(SpaceIndex(idx.s - Fraction(1, fn.ndim), fn.ndim))
     tops = (down.p1, 1 + sig.p1)
-    fields = _Fields(fn, lp_grid, pair_grid, sup=range(1, max(tops) + 1), pair=tops)
+    orders = range(1, max(tops) + 1)
+    fields = _Fields(fn, lp_grid, pair_grid, sup=orders, pair=tops)
     reads = [(down.p1, float(down.p2)), (1 + sig.p1, float(sig.p2))]
     semis = _seminorm_values(fields, reads)
-    return tuple(_holder_norm(fields, 1, *read, semis[read]) for read in reads)
+    sups = {m: _sup_value(fields, m) for m in orders}
+    return tuple(_holder_norm(sups, 1, *read, semis[read]) for read in reads)

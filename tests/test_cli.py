@@ -280,6 +280,12 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("broken chain: INDUCT_DIAG")
 
+    def test_empty_chain_exits_one(self, tmp_path):
+        cert = self.certificate(tmp_path)
+        cert.write_text("\n".join(cert.read_text().splitlines()[:2] + ["steps 0"]) + "\n")
+        code, out, err = run(["verify", str(cert)])
+        assert (code, out, err) == (1, "", "broken chain: empty chain\n")
+
     def test_bad_certificate_exits_two(self, tmp_path):
         cert = self.certificate(tmp_path)
         cert.write_text(cert.read_text().replace("gninterp-certificate 1", "gninterp-certificate 9"))

@@ -41,6 +41,7 @@ from gninterp.errors import (
     BrokenChain,
     InternalBorderline,
     InvalidInstance,
+    MalformedIndex,
 )
 from gninterp.indices import InequalityInstance, solve_q
 from gninterp.interp import InterpolationTriple
@@ -300,6 +301,21 @@ class TestExactVerification:
         with pytest.raises(BrokenChain):
             verify_chain(ProofChain(wrong, chain.steps))
 
+    def test_empty_chain_is_broken(self):
+        text = "\n".join(GOLDEN_CERT.splitlines()[:2] + ["steps 0"]) + "\n"
+        with pytest.raises(BrokenChain, match="^empty chain$"):
+            parse_certificate(text)
+
+    def test_public_slot_reads_any_exact_scale(self):
+        # Slot converts its scale as the deriver's constructor never needs to:
+        # equal values, equal hashes.
+        for slot, (order, scale) in ((Slot(1, "1/2"), (1, F(1, 2))), (Slot(0, 1), (0, F(1)))):
+            assert type(slot.scale) is F
+            assert slot == derivation._slot(order, scale)
+            assert hash(slot) == hash(derivation._slot(order, scale))
+        with pytest.raises(MalformedIndex):
+            Slot(1, 0.5)
+
     def test_empty_steps_have_no_constant(self):
         assert chain_constant(()) is None
 
@@ -412,6 +428,30 @@ class TestCertificates:
         )
         assert proc.stdout == format_certificate(parse_certificate(text)) == text
 
+    def test_rejected_certificates_leave_the_tables_as_found(self):
+        # Each text below interns records no other text holds, then raises.
+        chain = derive_chain(GOLDEN_INSTANCE)
+        tables = (derivation._SLOTS, derivation._EXPONENTS, derivation._STEPS)
+        before = [len(table) for table in tables]
+        for i in range(20):
+            unknown_rule = GOLDEN_CERT.replace("step LEMMA31", "step MYSTERY_RULE").replace(
+                "note=lebesgue", f"note=lebesgue {i}"
+            )
+            with pytest.raises(BrokenChain, match="unknown rule 'MYSTERY_RULE'"):
+                parse_certificate(unknown_rule)
+            with pytest.raises(BrokenChain, match="SOBOLEV_STEP: order shift"):
+                parse_certificate(GOLDEN_CERT.replace("out=1,1/6", f"out=1,1/{7 + i}", 1))
+            trailing = GOLDEN_CERT.replace("note=lebesgue", f"note=lebesgue {i}") + "hello world\n"
+            with pytest.raises(BadCertificate, match="expected a step line"):
+                parse_certificate(trailing)
+            with pytest.raises(BrokenChain, match="LEMMA31: output scale"):
+                parse_certificate(GOLDEN_CERT.replace("exp=1/2;1/2", f"exp=1/{i + 3};{i + 2}/{i + 3}", 1))
+            assert [len(table) for table in tables] == before
+        # A valid read-back still shares the derived records.
+        parsed = parse_certificate(format_certificate(chain))
+        assert all(a is b for a, b in zip(parsed.steps, chain.steps, strict=True))
+        assert [len(table) for table in tables] == before
+
     def test_derived_slots_and_exponents_are_interned(self):
         a, b = derive_chain(GOLDEN_INSTANCE), derive_chain(GOLDEN_INSTANCE)
         for x, y in zip(a.steps, b.steps, strict=True):
@@ -472,10 +512,20 @@ class TestCertificates:
             ("constant=1.0", "constant=inf", "LEMMA31: constant must be finite and positive, got 'inf'"),
             ("constant=1.0", "constant=-5.0", "LEMMA31: constant must be finite and positive, got '-5.0'"),
             ("constant=1.0", "constant=0.0", "LEMMA31: constant must be finite and positive, got '0.0'"),
+            # Integers are read as the writer writes them; int() alone read each of these.
+            ("exp=1/2;1/2", "exp=1_0/2_0;1/2", "optional minus sign, got 'step LEMMA31 in="),
+            ("n=3", "n=+3", "optional minus sign, got 'instance n=\\+3 "),
+            ("k=2", "k=\u0662", "optional minus sign, got 'instance n=3 k=\u0662 "),
+            ("in=2,1/2", "in=\uff12,1/2", "optional minus sign, got 'step SOBOLEV_STEP in=\uff12,1/2 "),
+            ("sr=-1/3", "sr=-1/\u0663", "optional minus sign, got 'instance n=3 .* sr=-1/\u0663 "),
+            ("steps 4", "steps \u0664", "optional minus sign, got 'steps \u0664'"),
+            ("gninterp-certificate 1", "gninterp-certificate +1", "optional minus sign, got 'gninterp-certificate \\+1'"),
         ],
         ids=["zero-denominator", "zero-denominator-index", "decimal", "duplicate-instance-key",
              "duplicate-step-key", "zero-dimension", "unbalanced", "theta-window", "unknown-instance-key",
-             "unknown-step-key", "constant-nan", "constant-inf", "constant-negative", "constant-zero"],
+             "unknown-step-key", "constant-nan", "constant-inf", "constant-negative", "constant-zero",
+             "underscores", "plus-sign", "arabic-indic-order", "fullwidth-slot-order", "arabic-indic-denominator",
+             "arabic-indic-count", "plus-version"],
     )
     def test_malformed_fields_are_bad_certificates(self, old, new, message):
         # Not broken chains: the text does not describe a valid instance or step.

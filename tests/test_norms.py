@@ -15,7 +15,6 @@ from gninterp.norms import (
     _cloud_scan,
     _exact_order_components,
     _grid_pair_scan,
-    _max_component_field,
     _mesh,
     _pair_scan,
     _simpson_integral,
@@ -29,7 +28,11 @@ from gninterp.norms import (
     sup_norm,
     xnorm,
 )
+from gninterp.interp import InterpolationTriple
+from gninterp.measure import check_interpolation
 from gninterp.testfn import bump, bump_poly, bump_wave, plateau
+
+from conftest import record_mesh_evaluations
 
 
 def bump_profile(x):
@@ -127,8 +130,8 @@ class TestLpNorm:
         fine_mesh = fine.mesh().reshape(shape + (grid.ndim,))[even]
         assert np.array_equal(fine_mesh.reshape(-1, grid.ndim), grid.mesh())
         for order in range(3):
-            coarse = _max_component_field(fn, grid.mesh(), order)
-            sliced = _max_component_field(fn, fine.mesh(), order).reshape(shape)[even]
+            coarse = fn._max_abs_fields(grid.mesh(), (order,))[order]
+            sliced = fn._max_abs_fields(fine.mesh(), (order,))[order].reshape(shape)[even]
             assert np.array_equal(sliced.ravel(), coarse)
 
     def test_bump_l2_against_quad(self, bump1):
@@ -270,6 +273,24 @@ class TestSupNorm:
         ):
             assert type(nv.error_estimate) is float
             assert nv.error_estimate == np.finfo(float).eps * nv.value
+
+    @pytest.mark.parametrize(
+        "norms_of,orders",
+        [
+            # Full Holder norms reading sups of orders 0..2, 0..1 and 0.
+            (lambda: check_interpolation(InterpolationTriple(1, F(-5, 2), F(-2), F(-1)), bump(1), mode="full"), 3),
+            # Both sides read the sups of orders 1 and 2.
+            (lambda: check_holder_equality(bump(2), F(-3, 4)), 2),
+        ],
+        ids=["check-full", "holder-equality"],
+    )
+    def test_each_sup_order_is_refined_once(self, monkeypatch, norms_of, orders):
+        # One cloud per sup order and refine round, however many norms read the order.
+        calls = record_mesh_evaluations(monkeypatch)
+        norms_of()
+        clouds = [read for fn, kind, points, read in calls if kind == "fields" and len(points) == 9**fn.ndim]
+        first = 3 - orders
+        assert sorted(clouds) == [(m,) for m in range(first, 3) for _ in range(norms._SUP_REFINEMENTS)]
 
     def test_homogeneity(self, bump1):
         base = sup_norm(bump1, order=2)
