@@ -19,6 +19,7 @@ chain on a sample function, slot by slot.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -517,26 +518,38 @@ def describe_step(step: Step) -> str:
     return line
 
 
+# A leading zero, or a minus zero, at the start of an integer.
+_PADDED_INTEGER = re.compile(r"(?<![0-9])(?:-0|0[0-9])")
+
+
 def _check_integers(text: str, line: str) -> None:
     """Raise BadParams unless every integer in ``text``, a part of ``line``,
-    is written as the writer writes one: ASCII digits after an optional
-    minus sign.  ``int`` alone also reads '_' separators, a leading '+' and
-    non-ASCII digits; fields hold no blanks (lines are split on them), and
-    ``int`` rejects every other character.  Checked once per line: a check
-    per field made a parse about 3.5% slower."""
-    if not text.isascii() or "_" in text or "+" in text:
-        raise BadParams(f"integers are written as ASCII digits after an optional minus sign, got {line!r}")
+    is written as the writer writes one: ASCII digits with no leading zero,
+    after an optional minus sign.  ``int`` alone also reads '_' separators,
+    a leading '+', leading zeros and non-ASCII digits; fields hold no blanks
+    (lines are split on them), and ``int`` rejects every other character.
+    Checked once per line: a check per field made a parse about 3.5% slower.
+    Most lines hold no '0', so the leading-zero search runs only on those
+    that do."""
+    if not text.isascii() or "_" in text or "+" in text or ("0" in text and _PADDED_INTEGER.search(text)):
+        raise BadParams(
+            f"integers are written as ASCII digits, without a leading zero, after an optional minus sign, got {line!r}"
+        )
 
 
 def _parse_rational(text: str) -> Fraction:
-    """An ``int`` or ``int/int`` token, as :func:`format_certificate` writes them."""
+    """An ``int`` or ``int/int`` token in lowest terms, as
+    :func:`format_certificate` writes them."""
     num, slash, den = text.partition("/")
     if not slash:
         return Fraction(int(num))
     d = int(den)
     if d <= 0:
         raise BadParams(f"denominator of {text!r} must be positive")
-    return Fraction(int(num), d)
+    value = Fraction(int(num), d)
+    if value.denominator != d or d == 1:
+        raise BadParams(f"{text!r} is not written in lowest terms")
+    return value
 
 
 # The instance line's keys in written order, each with the reader of its value.
@@ -582,10 +595,14 @@ def _read_step(line: str) -> Step:
     if toks[0] != "step":
         raise BadCertificate(f"expected a step line, got {line!r}")
     kv = _key_values(toks[2:], ("in", "out", "exp", "constant"))
-    constant = None if kv["constant"] == "empirical" else float(kv["constant"])
+    written = kv["constant"]
+    constant = None if written == "empirical" else float(written)
     if constant is not None and not 0 < constant < math.inf:
-        raise BadCertificate(f"{toks[1]}: constant must be finite and positive, got {kv['constant']!r}")
-    _check_integers(kv["in"] + kv["out"] + kv["exp"], line)
+        raise BadCertificate(f"{toks[1]}: constant must be finite and positive, got {written!r}")
+    if constant is not None and repr(constant) != written:
+        # float() also reads '_' separators, non-ASCII digits and forms repr never writes.
+        raise BadCertificate(f"{toks[1]}: constant must be written as repr writes it, got {written!r}")
+    _check_integers(";".join((kv["in"], kv["out"], kv["exp"])), line)
     return _step(
         toks[1],
         tuple(_parse_slot(t) for t in kv["in"].split(";")),

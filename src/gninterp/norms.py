@@ -29,8 +29,12 @@ separation mask and ``|x-y|^gamma`` from squared distances. The fast scan
 walks lattice offsets of the uniform grid and prunes, and its refine
 clouds get a scan of their own (:func:`_cloud_scan`); the oracle sweeps
 every ordered pair in row-major chunks and uses nothing of the grid's
-structure. With refinement turned off the two agree bit for bit on the same
-grid, attaining pairs included, which the tests check rather than assume.
+structure. Each of the sweep's arrays holds at most one chunk's pairs,
+2^18 (2 MiB of floats), so a sweep at ``PAIR_POINT_CAP`` points traces
+about 13 MiB; a smaller budget swept faster but slowed the offset scan
+that runs after it (see :func:`_pair_scan`). With refinement turned off
+the two agree bit for bit on the same grid, attaining pairs included,
+which the tests check rather than assume.
 All reductions run in a fixed order; repeated calls give identical floats.
 """
 
@@ -59,7 +63,9 @@ PAIR_POINT_CAP = 4096
 # Pairs closer than this are skipped in difference quotients.
 MIN_PAIR_SEPARATION = 1e-9
 
-_PAIR_CHUNK = 512
+# Pairs per chunk of the brute-force sweep: each of its pair arrays holds at
+# most this many floats, 2 MiB (see _pair_scan for the choice).
+_PAIR_BUDGET = 1 << 18
 
 # Relative slack on the offset scan's pruning bounds, far above the rounding
 # in the bounds and in the quotients they bound.
@@ -396,22 +402,37 @@ def _pair_scan(
 ) -> tuple[Dict[Key, float], Dict[Key, tuple[np.ndarray, np.ndarray]]]:
     """Best difference quotient |v(x)-v(y)| / |x-y|^gamma per component.
 
-    Scans every unordered pair of rows of ``points`` in fixed chunk order.
-    Returns per-component sups and the attaining pairs.
+    Scans every ordered pair of rows of ``points`` in row-major order, in
+    chunks of ``max(1, _PAIR_BUDGET // N)`` rows, so each pair array holds
+    at most one chunk's pairs, and a later chunk takes over only with a
+    strictly larger quotient: the first attaining pair wins.  Squared
+    distances add one axis at a time, in axis order.  Returns per-component
+    sups and the attaining pairs.
+
+    The budget, 2^18 pairs (2 MiB per float64 array), keeps the sweep's
+    traced peak near 13 MiB at ``PAIR_POINT_CAP`` points, against over
+    100 MiB for 512-row chunks.  2^14 swept faster still, but then the
+    offset scan run after it lost up to a fifth of its speed on some
+    grids, one 2-D scan taking about 6,000 minor page faults per call
+    instead of a few hundred: with no large array freed before it, the
+    allocator likely hands its batch arrays fresh pages.
     """
     n = points.shape[0]
+    rows = max(1, _PAIR_BUDGET // n)
     keys = sorted(comps)
     sups = {k: 0.0 for k in keys}
     pairs: Dict[Key, tuple[np.ndarray, np.ndarray]] = {
         k: (points[0], points[0]) for k in keys
     }
-    for start in range(0, n, _PAIR_CHUNK):
-        block = points[start : start + _PAIR_CHUNK]
-        diff = block[:, None, :] - points[None, :, :]
-        ok, denom = _pair_denominators(np.sum(diff * diff, axis=-1), gamma)
+    for start in range(0, n, rows):
+        block = points[start : start + rows]
+        dist_sq = 0.0
+        for ax in range(points.shape[1]):
+            dist_sq = dist_sq + (block[:, ax, None] - points[None, :, ax]) ** 2
+        ok, denom = _pair_denominators(dist_sq, gamma)
         for k in keys:
             v = comps[k]
-            num = np.abs(v[start : start + _PAIR_CHUNK, None] - v[None, :])
+            num = np.abs(v[start : start + rows, None] - v[None, :])
             q = np.where(ok, num / denom, 0.0)
             fi = int(np.argmax(q))
             i, j = divmod(fi, n)
@@ -670,7 +691,9 @@ def brute_force_holder(
     No refinement, no pruning and no use of the grid's structure: the oracle
     that :func:`holder_seminorm` with ``refinements=0`` must reproduce bit for
     bit. Its cost is quadratic, so grids beyond ``PAIR_POINT_CAP`` points
-    raise BadParams.
+    raise BadParams. Its memory is not: each array of the sweep holds at
+    most one chunk of 2^18 pairs, the budget at which the sweep stays fast
+    without slowing the offset scan after it (see :func:`_pair_scan`).
     """
     gamma = _gamma(gamma)
     if grid.npoints > PAIR_POINT_CAP:

@@ -520,12 +520,21 @@ class TestCertificates:
             ("sr=-1/3", "sr=-1/\u0663", "optional minus sign, got 'instance n=3 .* sr=-1/\u0663 "),
             ("steps 4", "steps \u0664", "optional minus sign, got 'steps \u0664'"),
             ("gninterp-certificate 1", "gninterp-certificate +1", "optional minus sign, got 'gninterp-certificate \\+1'"),
+            # Fields are read only as the writer writes them.
+            ("constant=1.0", "constant=1_0.0", "LEMMA31: constant must be written as repr writes it, got '1_0.0'"),
+            ("constant=1.0", "constant=\u0663.5", "LEMMA31: constant must be written as repr writes it, got '\u0663.5'"),
+            ("exp=1/2;1/2", "exp=01/02;1/2", "without a leading zero, after an optional minus sign, got 'step LEMMA31 in="),
+            ("sr=-1/3", "sr=-01/3", "leading zero, .* got 'instance n=3 .* sr=-01/3 "),
+            ("in=0,-1/3", "in=-0,-1/3", "leading zero, .* got 'step HOLDER_IDENTITY in=-0,-1/3 "),
+            ("exp=1/2;1/2", "exp=2/4;1/2", "'2/4' is not written in lowest terms"),
+            ("exp=1 constant=empirical", "exp=1/1 constant=empirical", "'1/1' is not written in lowest terms"),
         ],
         ids=["zero-denominator", "zero-denominator-index", "decimal", "duplicate-instance-key",
              "duplicate-step-key", "zero-dimension", "unbalanced", "theta-window", "unknown-instance-key",
              "unknown-step-key", "constant-nan", "constant-inf", "constant-negative", "constant-zero",
              "underscores", "plus-sign", "arabic-indic-order", "fullwidth-slot-order", "arabic-indic-denominator",
-             "arabic-indic-count", "plus-version"],
+             "arabic-indic-count", "plus-version", "constant-underscores", "constant-arabic-indic",
+             "leading-zeros", "leading-zero-index", "minus-zero", "unreduced-exponent", "unit-denominator"],
     )
     def test_malformed_fields_are_bad_certificates(self, old, new, message):
         # Not broken chains: the text does not describe a valid instance or step.

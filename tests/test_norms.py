@@ -1,5 +1,6 @@
 """Norm evaluation against quadrature oracles and closed forms."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -511,6 +512,57 @@ class TestPairScanIndependence:
         assert got_sups == want_sups == {key: 0.0 for key in comps}
         for key in comps:
             assert np.array_equal(np.stack(got_pairs[key]), np.stack(want_pairs[key]))
+
+
+class TestPairScanChunks:
+    """The brute sweep's chunking changes no float and no attaining pair."""
+
+    @pytest.mark.parametrize("n,points,order", [(1, 41, 2), (2, 11, 1), (3, 9, 0)])
+    def test_any_budget_gives_the_default_result(self, monkeypatch, n, points, order):
+        # A centred dyadic box and a symmetric bump: v(x) and v(-x) agree up
+        # to sign exactly, so each best quotient is met by mirrored pairs (and
+        # by both orders of a pair) in rows far apart; the first must win.
+        fn = bump(n)
+        grid = GridSpec((-1.25,) * n, (1.25,) * n, points)
+        pts = grid.mesh()
+        size = pts.shape[0]
+        comps = _exact_order_components(fn, pts, order)
+        want_value = brute_force_holder(fn, order, 0.5, grid).value
+        want_sups, want_pairs = _pair_scan(pts, comps, 0.5)
+
+        ragged_rows = 4
+        assert size % ragged_rows
+        for key, v in comps.items():
+            dist_sq = sum((pts[:, None, i] - pts[None, :, i]) ** 2 for i in range(n))
+            ok, denom = norms._pair_denominators(dist_sq, 0.5)
+            q = np.where(ok, np.abs(v[:, None] - v[None, :]) / denom, 0.0)
+            tops = np.flatnonzero(q == q.max())
+            assert len(set(tops // size // ragged_rows)) > 1, key
+            assert np.array_equal(np.stack(want_pairs[key]), pts[[tops[0] // size, tops[0] % size]])
+
+        # One row per chunk, 4 rows per chunk with a ragged last chunk, and
+        # a single chunk of every pair.
+        for budget in (1, ragged_rows * size + 3, size * size):
+            monkeypatch.setattr(norms, "_PAIR_BUDGET", budget)
+            assert brute_force_holder(fn, order, 0.5, grid).value == want_value
+            got_sups, got_pairs = _pair_scan(pts, comps, 0.5)
+            assert got_sups == want_sups
+            for key in want_pairs:
+                assert np.array_equal(np.stack(got_pairs[key]), np.stack(want_pairs[key])), (budget, key)
+
+    @pytest.mark.parametrize("n,points,order", [(3, 16, 0), (2, 64, 1), (1, 4096, 2)])
+    def test_sweep_memory_is_bounded(self, n, points, order):
+        # At the point cap the quadratic sweep holds one chunk at a time:
+        # 512-row chunks traced 116-162 MiB on these grids.
+        grid = GridSpec((-1.05,) * n, (1.05,) * n, points)
+        assert grid.npoints == PAIR_POINT_CAP
+        tracemalloc.start()
+        try:
+            brute_force_holder(bump(n), order, 0.5, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestXnormDispatch:
