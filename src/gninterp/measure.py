@@ -182,8 +182,9 @@ def evaluate_chain(
     never flagged.  A function whose dimension is not the instance's raises
     BadParams.  Every slot reads one set of fields: each point set is
     evaluated once, at the orders the slots read.  The Holder seminorms
-    refine together, one jet per round for all of them, and a seminorm
-    that several slots read is computed once.
+    refine together, one evaluation per round for all of them at the
+    orders they read, and a seminorm that several slots read is computed
+    once.
 
     Known limitation: a ``ck_step`` interpolation step is measured here in
     pair seminorms, while its factor-2 constant is stated for whole-derivative

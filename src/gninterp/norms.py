@@ -11,17 +11,17 @@ Three numerical primitives, each returning a value plus an error estimate:
   again with local refinement around the best pair.
 
 Derivative norms read fields, not jets. A private holder, built from the
-slots a caller will read, evaluates each point set of one function once, at
-exactly the orders read: the lp grid's refined mesh (Simpson) and its nodes
-(sup) as the pointwise max over the components of each total order, from
-:meth:`TestFunction._max_abs_fields`, and the pair grid's mesh (Holder scans)
-as the exact-order components of one jet at the highest Holder order. The
-nodes are the refined mesh's even-index nodes: every lp order is sliced
-there for Simpson's coarse pass, and a sup order that is also an lp order
-is not evaluated again. Each read of a field set is reduced once: each sup
-order is refined once, however many Holder norms take the max over it, and
-the Holder seminorm reads together, each distinct (order, gamma) once, on
-one jet per round; seminorm parts sum the per-component pair sups.
+slots a caller will read, evaluates each point set of one function once,
+through :meth:`TestFunction._evaluate` at exactly the orders read: the lp
+grid's refined mesh (Simpson) and its nodes (sup) as the pointwise max over
+the components of each order, the pair grid's mesh (Holder scans) as the
+components themselves. The nodes are the refined mesh's even-index nodes:
+every lp order is sliced there for Simpson's coarse pass, and a sup order
+that is also an lp order is not evaluated again. Each read of a field set
+is reduced once: each sup order is refined once, however many Holder norms
+take the max over it, and the Holder seminorm reads together, each distinct
+(order, gamma) once, with one evaluation per round at the orders they read;
+seminorm parts sum the per-component pair sups.
 
 :func:`holder_seminorm` and its oracle :func:`brute_force_holder` scan pairs
 with separate routines that share one thing, :func:`_pair_denominators`: the
@@ -217,8 +217,8 @@ class _Fields:
     pass per point set. The nodes are the refined mesh's even-index nodes, so
     every lp order is sliced there too, for Simpson's coarse pass, and a sup
     order that is also an lp order is not evaluated again. The pair mesh
-    holds the exact-order components of one ``fn.jet`` at the highest pair
-    order. An even lp point count raises BadParams before any evaluation.
+    holds the components of each pair order, from one evaluation at exactly
+    those orders. An even lp point count raises BadParams before any evaluation.
     Callers reduce each read once: one sup table (:func:`_sup_value` per
     order) and one :func:`_seminorm_values` call per field set.
     """
@@ -245,16 +245,13 @@ class _Fields:
         rest = set(sup) - set(self.fine)
         if rest:
             self.nodes.update(fn._max_abs_fields(self.lp_grid.mesh(), rest))
-        self.pair = {}
-        if pair:
-            jet = fn.jet(self.pair_grid.mesh(), max(pair))
-            self.pair = {m: {k: jet[k] for k in multi_indices_exact(fn.ndim, m)} for m in pair}
+        rows = fn._evaluate(self.pair_grid.mesh(), pair) if pair else {}
         # A pair scan skips a NaN quotient, so the pair fields are checked as
         # built; a Simpson sum or a grid sup carries a non-finite entry into
         # its value, which is checked there.
-        for m, comps in self.pair.items():
-            for comp in comps.values():
-                _finite(comp, f"the order-{m} field")
+        self.pair = {
+            m: {k: _finite(rows[k], f"the order-{m} field") for k in multi_indices_exact(fn.ndim, m)} for m in pair
+        }
 
 
 def _simpson_weights(m: int, h: float) -> np.ndarray:
@@ -646,11 +643,11 @@ def _seminorm_values(
     """The exponent-``gamma`` seminorm at ``order`` for each distinct
     ``(order, gamma)`` read, all refined together.
 
-    Each read gets its own global scan. Each refine round then takes one
-    jet, at the highest order read, on the clouds of every (read, component)
-    stacked in order: 5 points per axis around both ends of the best pair.
-    A jet row depends on its point alone, so every cloud reads the floats a
-    jet of its own would give.
+    Each read gets its own global scan. Each refine round then evaluates,
+    once and at exactly the orders read, the clouds of every (read,
+    component) stacked in order: 5 points per axis around both ends of the
+    best pair. A row depends on its point alone, so every cloud reads the
+    floats an evaluation of its own would give.
     """
     scans = {read: _grid_pair_scan(fields.pair_grid, fields.pair[read[0]], read[1]) for read in reads}
     jobs = [(read, key) for read in scans for key in sorted(fields.pair[read[0]])]
@@ -658,17 +655,17 @@ def _seminorm_values(
     h = fields.pair_grid.spacing()
     for _ in range(refinements if jobs else 0):
         local = _clouds(np.array([c for read, key in jobs for c in scans[read][1][key]]), h, 5)
-        jet = fields.fn.jet(local, max(order for order, _ in scans))
+        rows = fields.fn._evaluate(local, {order for order, _ in scans})
         size = local.shape[0] // len(jobs)
         for i, (read, key) in enumerate(jobs):
             part = slice(i * size, (i + 1) * size)
             sups, pairs = scans[read]
-            lsup, a, b = _cloud_scan(local[part], jet[key][part], read[1])
+            lsup, a, b = _cloud_scan(local[part], rows[key][part], read[1])
             if lsup > sups[key]:
                 improvement[read] = max(improvement[read], lsup - sups[key])
                 sups[key], pairs[key] = lsup, (a, b)
         h = h / 4.0
-        del jet  # freed before the next round's is built: holding both costs peak RSS
+        del rows  # freed before the next round's are built: holding both costs peak RSS
     out = {}
     for (order, gamma), (sups, _) in scans.items():
         total = 0.0
@@ -759,7 +756,7 @@ def _slot_norms(
             holder[semi] = None
             reads.append((mode, order, semi))
             if mode == "full":
-                sup.update(range(order, semi[0] + 1))
+                sup.update(order + i for i in range(sig.p1 + 1))
     fields = _Fields(fn, lp_grid, pair_grid, lp, sup, {top for top, _ in holder})
     semis = _seminorm_values(fields, holder)
     sups = {m: _sup_value(fields, m) for m in sorted(sup)}

@@ -13,19 +13,21 @@ ed., ch. 13). They are composed with the inner series
 accurate to rounding even next to the support boundary, where the profiles
 are flat to infinite order; points outside the support get exact zeros.
 
-Jets are evaluated in consecutive blocks of points written into one output
-array. Every operation of the kernel is per point, so the values do not
-depend on the blocking; what the blocking buys is that the kernel's
-temporaries stay small enough for the allocator to reuse them from its heap,
-instead of mapping fresh pages from the OS and faulting them in on every jet.
-
-:meth:`TestFunction.jet` returns every row ``|alpha| <= order`` and is the
-reference. Norms read only ``max over |alpha| = m of |D^alpha u|`` for a few
-orders m, and :meth:`TestFunction._max_abs_fields` computes just that in one
-pass over the blocks: each block evaluates the rows of those orders alone,
+Every evaluation is one block loop, :meth:`TestFunction._evaluate`, over
+consecutive blocks of points written into one output array. It takes a set
+of total orders, and each block evaluates the rows of those orders alone,
 plus the lower rows that an axis factor's product reads (a Taylor row needs
-lower-order series, never the other rows of its order), and keeps one
-abs-max row per order. Every value equals the abs-max of the jet's rows.
+lower-order series, never the other rows of its order). The rows are scaled
+into ``D^alpha u`` one at a time and scattered, or reduced in the block to
+one abs-max row per order. :meth:`TestFunction.jet` asks for every row
+``|alpha| <= order`` and is the reference; the norms ask for the orders
+they read, as rows (Holder pair meshes and refine clouds) or as abs-max
+fields (:meth:`TestFunction._max_abs_fields`, for Lebesgue and sup norms).
+Every operation of the kernel is per point, so no value depends on the
+blocking or on the other orders asked; what the blocking buys is that the
+kernel's temporaries stay small enough for the allocator to reuse them from
+its heap, instead of mapping fresh pages from the OS and faulting them in on
+every call.
 
 Families
 --------
@@ -52,7 +54,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -68,10 +70,10 @@ MAX_DIM = 3
 # below overflow.
 BOUNDARY_CUTOFF = 1e-12
 
-# Points per block of TestFunction.jet. One coefficient row of a block is
+# Points per block of TestFunction._evaluate. One coefficient row of a block is
 # 96 KiB, under glibc's default 128 KiB mmap threshold, so the kernel's
 # temporaries are reused from the heap instead of being mapped, returned to
-# the OS and page-faulted in again on every jet. Each block also costs a fixed
+# the OS and page-faulted in again on every call. Each block also costs a fixed
 # interpreter overhead, so this is the largest multiple of 4096 points whose
 # rows stay under the threshold.
 _JET_BLOCK = 12288
@@ -95,6 +97,17 @@ def multi_indices(nvars: int, max_order: int) -> tuple[Key, ...]:
 def multi_indices_exact(nvars: int, order: int) -> tuple[Key, ...]:
     """Exponent tuples with total degree exactly ``order``, canonically ordered."""
     return tuple(k for k in multi_indices(nvars, order) if sum(k) == order)
+
+
+def _jet_order(order) -> int:
+    """``order`` by ``operator.index``, checked to lie in 0..MAX_JET_ORDER."""
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise BadParams(f"derivative order must be an integer, got {order!r}") from None
+    if not 0 <= order <= MAX_JET_ORDER:
+        raise JetOrderOverflow(f"jet order {order} outside 0..{MAX_JET_ORDER}")
+    return order
 
 
 # -- one-variable series as (order + 1, npts) coefficient rows -----------------
@@ -180,16 +193,6 @@ def _radial_table(nvars: int, order: int) -> tuple[tuple[tuple[int, int, float],
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _axis_shifts(nvars: int, order: int, axis: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row alpha lists (m, index of alpha - m e_axis) for m = 0..alpha_axis."""
-    index = _index_of(nvars, order)
-    return tuple(
-        tuple((m, index[alpha[:axis] + (alpha[axis] - m,) + alpha[axis + 1 :]]) for m in range(alpha[axis] + 1))
-        for alpha in multi_indices(nvars, order)
-    )
-
-
 def _radial_coeffs(y: np.ndarray, g: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
     """Rows ``rows`` of ``[h^alpha] G(1 - |y + h|^2)`` from G's coefficients ``g[j]`` at t0 = 1 - |y|^2."""
     cols = np.ascontiguousarray(y.T)
@@ -216,23 +219,14 @@ def _axis_plan(
     Returns the other operand's rows to compute, ascending, and for each
     output row its terms (m, position of ``alpha - m e_axis`` among them).
     """
-    shifts = _axis_shifts(nvars, order, axis)
-    picked = [shifts[i][:nfactor] for i in rows]
+    keys, index = multi_indices(nvars, order), _index_of(nvars, order)
+    picked = []
+    for alpha in (keys[i] for i in rows):
+        top = min(alpha[axis], nfactor - 1)
+        picked.append([(m, index[alpha[:axis] + (alpha[axis] - m,) + alpha[axis + 1 :]]) for m in range(top + 1)])
     sources = tuple(sorted({src for terms in picked for _, src in terms}))
     at = {src: i for i, src in enumerate(sources)}
     return sources, tuple(tuple((m, at[src]) for m, src in terms) for terms in picked)
-
-
-def _times_axis_series(coeffs: np.ndarray, factor: list[np.ndarray], terms: tuple) -> np.ndarray:
-    """Product of an n-variable series with ``factor``, the rows of a series in ``h_axis`` alone.
-
-    ``coeffs`` holds the rows and ``terms`` the terms of an :func:`_axis_plan`.
-    """
-    out = np.zeros((len(terms), coeffs.shape[1]))
-    for row, row_terms in zip(out, terms):
-        for m, src in row_terms:
-            row += factor[m] * coeffs[src]
-    return out
 
 
 def _power_rows(x: np.ndarray, deg: int, order: int) -> list[np.ndarray]:
@@ -258,6 +252,20 @@ def _phi(t: np.ndarray) -> np.ndarray:
 
 def _bump(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
     return _radial_coeffs(y, _phi(_linear(t0, 1.0, order)), order, rows)
+
+
+def _bump_times(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...], axis: int, factor: list) -> np.ndarray:
+    """Rows ``rows`` of the bump profile times ``factor``, the rows of a series in ``h_axis`` alone.
+
+    The bump's rows are those the :func:`_axis_plan` of ``rows`` reads.
+    """
+    sources, terms = _axis_plan(y.shape[1], order, axis, rows, len(factor))
+    coeffs = _bump(y, t0, order, sources)
+    out = np.zeros((len(terms), coeffs.shape[1]))
+    for row, row_terms in zip(out, terms):
+        for m, src in row_terms:
+            row += factor[m] * coeffs[src]
+    return out
 
 
 def _plateau(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...], rho: float) -> np.ndarray:
@@ -354,23 +362,33 @@ class TestFunction:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _checked_points(self, points: np.ndarray, orders: Sequence[int]) -> np.ndarray:
-        for order in orders:
-            if not (0 <= order <= MAX_JET_ORDER):
-                raise JetOrderOverflow(f"jet order {order} outside 0..{MAX_JET_ORDER}")
+    def _evaluate(self, points: np.ndarray, orders: Iterable[int], by_order: bool = False) -> Dict:
+        """The derivatives of the total orders ``orders`` at the given points.
+
+        Returns ``{alpha: D^alpha u(points)}`` for those multi-indices, in
+        canonical order, or with ``by_order`` ``{m: max over |alpha| = m of
+        |D^alpha u(points)|}``, ascending. Each block of ``_JET_BLOCK`` points
+        that meets the support computes the profile's rows of these orders
+        alone (and the lower rows an axis factor reads), scales them row by
+        row and scatters them, or first reduces them to one abs-max row per
+        order.
+        """
+        orders = sorted({_jet_order(m) for m in orders})
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2:
+            raise BadParams(f"points must be an (npoints, ndim) array, got shape {pts.shape}")
         if pts.shape[1] != self.ndim:
             raise BadParams(f"points have dimension {pts.shape[1]}, function has {self.ndim}")
-        return pts
-
-    def _scales(self, keys: Sequence[Key]) -> np.ndarray:
-        """``amp * radius^-|alpha| * alpha!``: Taylor coefficient of the profile to ``D^alpha u``."""
-        factorials = [math.prod(map(math.factorial, alpha)) for alpha in keys]
-        return np.array([self.amp * self.radius ** (-sum(alpha)) * f for alpha, f in zip(keys, factorials)])
-
-    def _profile_blocks(self, pts: np.ndarray, order: int, rows: tuple[int, ...]):
-        """Per block of ``_JET_BLOCK`` points that meets the support: its
-        start, its in-support indices and the profile's rows ``rows`` there."""
+        keys = multi_indices(self.ndim, orders[-1])
+        rows = tuple(i for i, alpha in enumerate(keys) if sum(alpha) in orders)
+        # amp * radius^-|alpha| * alpha! takes a Taylor coefficient of the profile to D^alpha u.
+        scale = [self.amp * self.radius ** -sum(keys[i]) * math.prod(map(math.factorial, keys[i])) for i in rows]
+        groups: Dict = {}  # output row -> positions in ``rows``: one order's, or one alpha's
+        for j, i in enumerate(rows):
+            groups.setdefault(sum(keys[i]) if by_order else keys[i], []).append(j)
+        # One array per output row: numpy asks for huge pages on an array of
+        # 4 MiB or more, which then counts in full however sparse the support.
+        out = {name: np.zeros(pts.shape[0]) for name in groups}
         center = np.asarray(self.center)
         for lo in range(0, pts.shape[0], _JET_BLOCK):
             # y = (x - center) / radius, one contiguous column per axis.
@@ -380,52 +398,36 @@ class TestFunction:
                 r2 = r2 + col * col
             t0 = 1.0 - r2
             inside = np.flatnonzero(t0 > BOUNDARY_CUTOFF)
-            if inside.size:
-                y = np.empty((self.ndim, inside.size))
-                for col, row in zip(cols, y):
-                    np.take(col, inside, out=row)
-                yield lo, inside, self.profile(y.T, t0[inside], order, rows)
+            if not inside.size:
+                continue
+            y = np.empty((self.ndim, inside.size))
+            for col, row in zip(cols, y):
+                np.take(col, inside, out=row)
+            coeffs = self.profile(y.T, t0[inside], orders[-1], rows)
+            for name, group in groups.items():
+                acc = coeffs[group[0]] * scale[group[0]]
+                if by_order:
+                    # Into a new array: in place, the heap's layout alone raised
+                    # the chain_walk benchmark's peak RSS by about 1.5%.
+                    acc = np.abs(acc)
+                for j in group[1:]:
+                    np.maximum(acc, np.abs(coeffs[j] * scale[j]), out=acc)
+                out[name][lo : lo + _JET_BLOCK][inside] = acc
+        return out
 
     def jet(self, points: np.ndarray, order: int) -> Dict[Key, np.ndarray]:
         """All derivatives up to total order at the given points.
 
         Returns ``{alpha: D^alpha u(points)}`` for every multi-index with
-        ``|alpha| <= order``, each value an array over the points. The points
-        are evaluated in blocks of ``_JET_BLOCK``, so temporaries are bounded
-        by the block, not by the grid, and stay in the allocator's heap.
+        ``|alpha| <= order``, each value an array over the points: the block
+        loop :meth:`_evaluate` at orders 0..order.
         """
-        pts = self._checked_points(points, (order,))
-        keys = multi_indices(self.ndim, order)
-        scale = self._scales(keys)
-        out = np.zeros((len(keys), pts.shape[0]))
-        for lo, inside, coeffs in self._profile_blocks(pts, order, tuple(range(len(keys)))):
-            block = out[:, lo : lo + _JET_BLOCK]
-            for row, coeff, factor in zip(block, coeffs, scale):
-                row[inside] = coeff * factor
-        return dict(zip(keys, out))
+        return self._evaluate(points, range(_jet_order(order) + 1))
 
-    def _max_abs_fields(self, points: np.ndarray, orders: Sequence[int]) -> Dict[int, np.ndarray]:
-        """``{m: max over |alpha| = m of |D^alpha u(points)|}`` for each order m.
-
-        One pass over the blocks of :meth:`jet`: each block computes only the
-        rows of these orders (and the lower rows an axis factor reads), takes
-        the abs-max per order inside the block and scatters one row per
-        order. The values are the abs-max of :meth:`jet`'s rows, bit for bit.
-        """
-        pts = self._checked_points(points, orders)
-        orders = sorted(set(orders))
-        keys = multi_indices(self.ndim, orders[-1])
-        rows = tuple(i for i, alpha in enumerate(keys) if sum(alpha) in orders)
-        scale = self._scales([keys[i] for i in rows])
-        groups = [(m, [j for j, i in enumerate(rows) if sum(keys[i]) == m]) for m in orders]
-        out = {m: np.zeros(pts.shape[0]) for m in orders}
-        for lo, inside, coeffs in self._profile_blocks(pts, orders[-1], rows):
-            for m, group in groups:
-                acc = np.abs(coeffs[group[0]] * scale[group[0]])
-                for j in group[1:]:
-                    np.maximum(acc, np.abs(coeffs[j] * scale[j]), out=acc)
-                out[m][lo : lo + _JET_BLOCK][inside] = acc
-        return out
+    def _max_abs_fields(self, points: np.ndarray, orders: Iterable[int]) -> Dict[int, np.ndarray]:
+        """``{m: max over |alpha| = m of |D^alpha u(points)|}`` for each order m,
+        the abs-max of :meth:`jet`'s rows bit for bit."""
+        return self._evaluate(points, orders, by_order=True)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.jet(points, 0)[(0,) * self.ndim]
@@ -472,9 +474,7 @@ def bump_poly(ndim: int, R: float = 1.0, deg: int = 1, axis: int = 0) -> TestFun
         raise BadParams(f"axis {axis} out of range for ndim={ndim}")
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
-        factor = _power_rows(y[:, axis], deg, order)
-        sources, terms = _axis_plan(ndim, order, axis, rows, len(factor))
-        return _times_axis_series(_bump(y, t0, order, sources), factor, terms)
+        return _bump_times(y, t0, order, rows, axis, _power_rows(y[:, axis], deg, order))
 
     return TestFunction(ndim, f"bump_poly(R={R!r},deg={deg},axis={axis})", profile, R, (0.0,) * ndim)
 
@@ -486,9 +486,7 @@ def bump_wave(ndim: int, R: float = 1.0, omega: float = 3.0) -> TestFunction:
         raise BadParams(f"omega must be finite, got {omega}")
 
     def profile(y: np.ndarray, t0: np.ndarray, order: int, rows: tuple[int, ...]) -> np.ndarray:
-        factor = _cos_rows(y[:, 0], omega, order)
-        sources, terms = _axis_plan(ndim, order, 0, rows, len(factor))
-        return _times_axis_series(_bump(y, t0, order, sources), factor, terms)
+        return _bump_times(y, t0, order, rows, 0, _cos_rows(y[:, 0], omega, order))
 
     return TestFunction(ndim, f"bump_wave(R={R!r},omega={omega!r})", profile, R, (0.0,) * ndim)
 

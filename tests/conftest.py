@@ -25,21 +25,17 @@ def make_instance(n, k, l, sp, sr, theta) -> InequalityInstance:
 
 
 def record_mesh_evaluations(monkeypatch):
-    """Patch both evaluators of ``TestFunction``; return the list each call appends
-    ``(function, kind, points, orders)`` to, kind "jet" or "fields"."""
+    """Patch the evaluation loop of ``TestFunction``; return the list each call appends
+    ``(function, kind, points, orders)`` to, kind "rows" (``jet``, pair meshes and
+    refine clouds) or "fields" (abs-max per order)."""
     calls = []
-    jet, fields = testfn.TestFunction.jet, testfn.TestFunction._max_abs_fields
+    evaluate = testfn.TestFunction._evaluate
 
-    def recording_jet(fn, points, order):
-        calls.append((fn, "jet", points, (order,)))
-        return jet(fn, points, order)
+    def recording(fn, points, orders, by_order=False):
+        calls.append((fn, "fields" if by_order else "rows", points, tuple(orders)))
+        return evaluate(fn, points, orders, by_order)
 
-    def recording_fields(fn, points, orders):
-        calls.append((fn, "fields", points, tuple(orders)))
-        return fields(fn, points, orders)
-
-    monkeypatch.setattr(testfn.TestFunction, "jet", recording_jet)
-    monkeypatch.setattr(testfn.TestFunction, "_max_abs_fields", recording_fields)
+    monkeypatch.setattr(testfn.TestFunction, "_evaluate", recording)
     return calls
 
 

@@ -609,7 +609,7 @@ class TestNumericWalk:
         assert sorted(mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
             ("fine", "fields", (2, 3)),
             ("nodes", "fields", (1,)),
-            ("pair", "jet", (1,)),
+            ("pair", "rows", (0, 1)),
         ]
         monkeypatch.undo()
         # Shared fields give each slot the value its own norm call gives.
@@ -619,8 +619,9 @@ class TestNumericWalk:
             assert (nv.value, nv.error_estimate) == (alone.value, alone.error_estimate), sl
 
     def test_holder_reads_refine_on_one_jet_per_round(self, monkeypatch):
-        # Holder seminorms at orders 0 and 1: one jet on the pair mesh, then
-        # one jet per refine round for the clouds of every read and component.
+        # Holder seminorms at orders 0 and 1: one evaluation of both orders on
+        # the pair mesh, then one per refine round for the clouds of every
+        # read and component.
         chain = derive_chain(make_instance(2, 3, 1, F(3, 4), F(-1, 2), F(2, 3)))
         fn = bump_poly(2, deg=2).translate(0.1)
         lp_grid = dataclasses.replace(default_grid(fn, "lp"), points_per_axis=65)
@@ -628,8 +629,8 @@ class TestNumericWalk:
         ev = evaluate_chain(chain, fn, lp_grid=lp_grid)
         assert {sl.order for sl, _ in ev.norms if sl.scale < 0} == {0, 1}
         mesh = default_grid(fn, "pair").mesh()
-        jets = [(np.array_equal(points, mesh), orders) for _, kind, points, orders in calls if kind == "jet"]
-        assert jets == [(True, (1,))] + [(False, (1,))] * 3
+        rows = [(np.array_equal(points, mesh), orders) for _, kind, points, orders in calls if kind == "rows"]
+        assert rows == [(True, (0, 1))] + [(False, (0, 1))] * 3
 
     def test_sup_nodes_are_sliced_from_the_fine_field(self, monkeypatch):
         # Sup of order 1 and Lebesgue norms of order 1: the lp nodes need no evaluation.
@@ -640,7 +641,7 @@ class TestNumericWalk:
         ev = evaluate_chain(chain, fn)
         assert sorted(mesh_evaluations(calls, fn, lp_grid, default_grid(fn, "pair"))) == [
             ("fine", "fields", (1, 2)),
-            ("pair", "jet", (0,)),
+            ("pair", "rows", (0,)),
         ]
         monkeypatch.undo()
         (sup,) = [nv for sl, nv in ev.norms if sl.scale == 0]
@@ -698,7 +699,7 @@ class TestDilation:
         for lam in (0.5, 1.0, 2.0):
             v = fn.dilate(lam)
             evaluated = mesh_evaluations(calls, v, default_grid(v, "lp"), default_grid(v, "pair"))
-            assert sorted(evaluated) == [("fine", "fields", (1, 2)), ("pair", "jet", (0,))], lam
+            assert sorted(evaluated) == [("fine", "fields", (1, 2)), ("pair", "rows", (0,))], lam
 
     @pytest.mark.parametrize("kind", ["lp", "pair"])
     def test_explicit_grid_must_cover_the_dilated_support(self, kind):

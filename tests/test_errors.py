@@ -128,6 +128,23 @@ INPUT_CHECKS = {
     "dilate": (lambda: bump(1).dilate(0), BadParams, "dilation factor must be positive, got 0"),
     "translate": (lambda: bump(3).translate([0.1, 0.2]), BadParams, "shift has 2 entries for ndim=3"),
     "jet-points": (lambda: bump(3).jet(np.zeros((4, 2)), 0), BadParams, "points have dimension 2, function has 3"),
+    "jet-points-axes": (
+        lambda: bump(1).jet(np.zeros((2, 1, 1)), 0), BadParams, "points must be an (npoints, ndim) array, got shape (2, 1, 1)"
+    ),
+    # A derivative order is read as an index, as a point count is: numpy
+    # integers pass, and 1.5 is no order (multi_indices raised a bare TypeError).
+    "jet-order-float": (
+        lambda: bump(1).jet(np.zeros((1, 1)), 1.5), BadParams, "derivative order must be an integer, got 1.5"
+    ),
+    "lp-order-float": (lambda: lp_norm(bump(1), 2, order=1.5), BadParams, "derivative order must be an integer, got 1.5"),
+    "brute-order-float": (
+        lambda: brute_force_holder(bump(1), 1.5, 0.5, GridSpec((-1.1,), (1.1,), 33)),
+        BadParams,
+        "derivative order must be an integer, got 1.5",
+    ),
+    "xnorm-holder-order-float": (
+        lambda: xnorm(bump(1), F(-1, 2), order=1.5), BadParams, "derivative order must be an integer, got 1.5"
+    ),
     "deg": (lambda: bump_poly(1, deg=-1), BadParams, "deg must be a nonnegative integer, got -1"),
     # An axis is read as an index: int() would truncate 0.5 to axis 0.
     "axis-float": (lambda: bump_poly(2, axis=0.5), BadParams, "axis must be an integer, got 0.5"),

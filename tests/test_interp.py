@@ -321,9 +321,9 @@ class TestMeasuredInterpolation:
         "scales,mode,evaluated",
         [
             ((F(1, 4), F(3, 8), F(1, 2)), "full", [("fine", "fields", (0,))]),
-            ((F(-1, 2), F(-1, 3), F(-1, 4)), "full", [("nodes", "fields", (0,)), ("pair", "jet", (0,))]),
+            ((F(-1, 2), F(-1, 3), F(-1, 4)), "full", [("nodes", "fields", (0,)), ("pair", "rows", (0,))]),
             ((F(-2), F(-1), F(0)), "seminorm", [("nodes", "fields", (0, 1, 2))]),
-            ((F(-1, 2), F(0), F(1, 2)), "seminorm", [("fine", "fields", (0,)), ("pair", "jet", (0,))]),
+            ((F(-1, 2), F(0), F(1, 2)), "seminorm", [("fine", "fields", (0,)), ("pair", "rows", (0,))]),
         ],
         ids=["lebesgue", "holder-same-full", "ck-step", "mixed"],
     )

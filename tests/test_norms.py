@@ -1,13 +1,14 @@
 """Norm evaluation against quadrature oracles and closed forms."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gninterp import norms, testfn
+from gninterp import norms
 from gninterp.errors import BadParams, GridTooCoarse
 from gninterp.norms import (
     PAIR_POINT_CAP,
@@ -31,7 +32,7 @@ from gninterp.norms import (
 )
 from gninterp.interp import InterpolationTriple
 from gninterp.measure import check_interpolation
-from gninterp.testfn import bump, bump_poly, bump_wave, plateau
+from gninterp.testfn import bump, bump_poly, bump_wave, multi_indices, plateau
 
 from conftest import record_mesh_evaluations
 
@@ -184,21 +185,9 @@ class TestLpNorm:
             lp_norm(bump1, 0.5)
 
     def test_even_grid_rejected_before_any_jet(self, bump1, monkeypatch):
-        calls = []
-
-        def counting(fn, points, order):
-            calls.append(order)
-            return jet(fn, points, order)
-
-        def counting_fields(fn, points, orders):
-            calls.append(tuple(orders))
-            return fields(fn, points, orders)
-
-        jet, fields = testfn.TestFunction.jet, testfn.TestFunction._max_abs_fields
-        monkeypatch.setattr(testfn.TestFunction, "jet", counting)
-        monkeypatch.setattr(testfn.TestFunction, "_max_abs_fields", counting_fields)
+        calls = record_mesh_evaluations(monkeypatch)
         lp_norm(bump1, 2, order=2, grid=GridSpec((-1.05,), (1.05,), 65))
-        assert calls == [(2,)]  # the counter sees the evaluation an odd grid makes
+        assert [orders for *_, orders in calls] == [(2,)]  # the counter sees the evaluation an odd grid makes
         calls.clear()
         with pytest.raises(BadParams, match="odd point count, got 64"):
             lp_norm(bump1, 2, order=2, grid=GridSpec((-1.05,), (1.05,), 64))
@@ -386,6 +375,20 @@ class TestHolderSeminorm:
         grid = default_grid(fn, "pair")
         semi = holder_seminorm(fn, order, 0.5, grid=grid)
         assert (semi.value, semi.error_estimate) == _rescanned_seminorm(fn, order, 0.5, grid)
+
+    def test_mesh_and_clouds_ask_the_profile_for_the_rows_read(self):
+        # An order-2 read of a 2-D bump needs its 3 order-2 rows, not the 3
+        # rows of orders 0 and 1: on the pair mesh and on each refine cloud.
+        asked = []
+
+        def recording(y, t0, order, rows):
+            asked.append((order, rows))
+            return bump(2).profile(y, t0, order, rows)
+
+        fn = replace(bump(2), profile=recording)
+        assert holder_seminorm(fn, 2, 0.5) == holder_seminorm(bump(2), 2, 0.5)
+        order_two = tuple(i for i, alpha in enumerate(multi_indices(2, 2)) if sum(alpha) == 2)
+        assert asked == [(2, order_two)] * 4 and len(order_two) == 3
 
     def test_several_reads_match_full_rescan(self):
         # Two orders, two exponents, a repeated slot, and a second slot with

@@ -62,6 +62,12 @@ class TestFamilies:
         with pytest.raises(JetOrderOverflow):
             bump(1).jet(np.zeros((1, 1)), 9)
 
+    def test_numpy_integer_orders_pass(self):
+        x = np.array([[0.2]])
+        got, want = bump(1).jet(x, np.int64(2)), bump(1).jet(x, 2)
+        assert list(got) == list(want) and all(got[k] == want[k] for k in want)
+        assert bump(1)._max_abs_fields(x, [np.int32(1)])[1] == bump(1)._max_abs_fields(x, [1])[1]
+
 
 class TestSupportGeometry:
     def test_bounding_box_margin(self):
@@ -266,7 +272,8 @@ class TestJetBlocks:
 
 
 class TestMaxAbsFields:
-    """The norms' kernel against the reference: abs-max over the jet's rows of each order."""
+    """The norms' kernel against the reference: abs-max over the jet's rows of
+    each order, and the rows of the orders asked, from the one block loop."""
 
     @staticmethod
     def _reference(fn, x, order):
@@ -291,6 +298,22 @@ class TestMaxAbsFields:
                 assert list(got) == list(orders)
                 for m in orders:
                     assert got[m].tobytes() == want[m], (orders, m)
+
+    @pytest.mark.parametrize("name", ["bump_poly", "bump_wave"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_order_set_gives_the_jet_rows(self, n, name):
+        # These families compute lower rows for their axis factor, and must
+        # still hand back only the rows of the orders asked.
+        fn, _ = _framed(name, n, FRAMES[1])
+        lo, hi = fn.bounding_box(1.1)
+        x = lo + (hi - lo) * np.random.default_rng(n).random((testfn._JET_BLOCK + 1001, n))
+        jets = {m: fn.jet(x, m) for m in range(MAX_JET_ORDER + 1)}
+        for size in range(1, MAX_JET_ORDER + 2):
+            for orders in itertools.combinations(range(MAX_JET_ORDER + 1), size):
+                got = fn._evaluate(x, orders)
+                assert list(got) == [alpha for alpha in multi_indices(n, orders[-1]) if sum(alpha) in orders]
+                for alpha, row in got.items():
+                    assert row.tobytes() == jets[sum(alpha)][alpha].tobytes(), (orders, alpha)
 
     def test_rejects_orders_outside_the_jet_range(self):
         fn = bump(2)
