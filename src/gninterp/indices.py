@@ -24,7 +24,7 @@ from .errors import BadParams, BorderlineIndex, InvalidInstance, MalformedIndex
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def as_rational(value: Union[int, str, Fraction]) -> Fraction:

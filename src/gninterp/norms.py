@@ -60,7 +60,8 @@ DEFAULT_PAIR_POINTS = {1: 129, 2: 25, 3: 9}
 # Hard ceiling on points entering the brute-force oracle (its sweep is quadratic).
 PAIR_POINT_CAP = 4096
 
-# Pairs closer than this are skipped in difference quotients.
+# Pairs closer than this times the pair grid's widest side are skipped in
+# difference quotients: relative, so the dilation law holds on any support.
 MIN_PAIR_SEPARATION = 1e-9
 
 # Pairs per chunk of the brute-force sweep: each of its pair arrays holds at
@@ -384,11 +385,16 @@ def _sup_value(fields: _Fields, order: int) -> NormValue:
 # -- pairwise Holder scans ----------------------------------------------------
 
 
-def _pair_denominators(dist_sq: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The separation mask and ``|x-y|^gamma`` for squared distances, the
-    float expression both pair scans share."""
+def _min_separation(grid: GridSpec) -> float:
+    """The shortest pair distance the scans on ``grid`` and its clouds read."""
+    return MIN_PAIR_SEPARATION * max(b - a for a, b in zip(grid.lo, grid.hi))
+
+
+def _pair_denominators(dist_sq: np.ndarray, gamma: float, min_dist: float) -> tuple[np.ndarray, np.ndarray]:
+    """The separation mask (``|x-y| >= min_dist``) and ``|x-y|^gamma`` for
+    squared distances, the float expression both pair scans share."""
     dist = np.sqrt(dist_sq)
-    ok = dist >= MIN_PAIR_SEPARATION
+    ok = dist >= min_dist
     return ok, np.where(ok, dist, 1.0) ** gamma
 
 
@@ -396,6 +402,7 @@ def _pair_scan(
     points: np.ndarray,
     comps: Mapping[Key, np.ndarray],
     gamma: float,
+    min_dist: float,
 ) -> tuple[Dict[Key, float], Dict[Key, tuple[np.ndarray, np.ndarray]]]:
     """Best difference quotient |v(x)-v(y)| / |x-y|^gamma per component.
 
@@ -426,7 +433,7 @@ def _pair_scan(
         dist_sq = 0.0
         for ax in range(points.shape[1]):
             dist_sq = dist_sq + (block[:, ax, None] - points[None, :, ax]) ** 2
-        ok, denom = _pair_denominators(dist_sq, gamma)
+        ok, denom = _pair_denominators(dist_sq, gamma, min_dist)
         for k in keys:
             v = comps[k]
             num = np.abs(v[start : start + rows, None] - v[None, :])
@@ -480,6 +487,7 @@ def _grid_pair_scan(
     shape = (m,) * n
     axes = grid.axes()
     keys = sorted(comps)
+    min_dist = _min_separation(grid)
     fields = {k: np.asarray(comps[k], dtype=float).reshape(shape) for k in keys}
     best = {k: 0.0 for k in keys}
     where = {k: (0, 0) for k in keys}
@@ -517,7 +525,7 @@ def _grid_pair_scan(
             dist_sq = 0.0
             for i in range(n):
                 dist_sq = dist_sq + (axes[i][eb[i]] - axes[i][ea[i]]) ** 2
-            ok, denom = _pair_denominators(np.array([dist_sq]), gamma)
+            ok, denom = _pair_denominators(np.array([dist_sq]), gamma, min_dist)
             q = np.where(ok, np.abs(v[eb] - v[ea]) / denom, 0.0)
             offer(k, q, np.array(ends[:1]), np.array(ends[1:]))
 
@@ -569,7 +577,7 @@ def _grid_pair_scan(
                     continue
                 rr, pp = np.divmod(sel, ia.size)
                 dist_sq = lead_sq[rr] + (ax_last[ib[pp]] - ax_last[ia[pp]]) ** 2
-                ok, denom = _pair_denominators(dist_sq, gamma)
+                ok, denom = _pair_denominators(dist_sq, gamma, min_dist)
                 q = np.where(ok, num.ravel()[sel] / denom, 0.0)
                 offer(k, q, base_a[rr] + ia[pp], base_b[rr] + ib[pp])
             ds, nom = ds[take:], nom[take:]
@@ -620,7 +628,9 @@ def holder_seminorm(
     return _seminorm_values(_Fields(fn, pair_grid=grid, pair=(order,)), [(order, gamma)], refinements)[order, gamma]
 
 
-def _cloud_scan(points: np.ndarray, v: np.ndarray, gamma: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _cloud_scan(
+    points: np.ndarray, v: np.ndarray, gamma: float, min_dist: float
+) -> tuple[float, np.ndarray, np.ndarray]:
     """The best quotient among all pairs of rows of ``points`` and the first
     pair in row-major order that attains it: a refine cloud's scan.
 
@@ -631,7 +641,7 @@ def _cloud_scan(points: np.ndarray, v: np.ndarray, gamma: float) -> tuple[float,
     dist_sq = 0.0
     for col in points.T:
         dist_sq = dist_sq + (col[:, None] - col[None, :]) ** 2
-    ok, denom = _pair_denominators(dist_sq, gamma)
+    ok, denom = _pair_denominators(dist_sq, gamma, min_dist)
     q = np.where(ok, np.abs(v[:, None] - v[None, :]) / denom, 0.0)
     i, j = divmod(int(np.argmax(q)), v.size)
     return float(q[i, j]), points[i], points[j]
@@ -652,7 +662,7 @@ def _seminorm_values(
     scans = {read: _grid_pair_scan(fields.pair_grid, fields.pair[read[0]], read[1]) for read in reads}
     jobs = [(read, key) for read in scans for key in sorted(fields.pair[read[0]])]
     improvement = dict.fromkeys(scans, 0.0)
-    h = fields.pair_grid.spacing()
+    h, min_dist = fields.pair_grid.spacing(), _min_separation(fields.pair_grid)
     for _ in range(refinements if jobs else 0):
         local = _clouds(np.array([c for read, key in jobs for c in scans[read][1][key]]), h, 5)
         rows = fields.fn._evaluate(local, {order for order, _ in scans})
@@ -660,7 +670,7 @@ def _seminorm_values(
         for i, (read, key) in enumerate(jobs):
             part = slice(i * size, (i + 1) * size)
             sups, pairs = scans[read]
-            lsup, a, b = _cloud_scan(local[part], rows[key][part], read[1])
+            lsup, a, b = _cloud_scan(local[part], rows[key][part], read[1], min_dist)
             if lsup > sups[key]:
                 improvement[read] = max(improvement[read], lsup - sups[key])
                 sups[key], pairs[key] = lsup, (a, b)
@@ -703,7 +713,7 @@ def brute_force_holder(
         bad = comp[~np.isfinite(comp)]
         if bad.size:
             raise BadParams(f"the order-{order} field is {bad[0]}, not finite")
-    sups, _ = _pair_scan(pts, comps, gamma)
+    sups, _ = _pair_scan(pts, comps, gamma, _min_separation(grid))
     total = 0.0
     for key in sorted(sups):
         total += sups[key]

@@ -382,7 +382,13 @@ class TestFunction:
         keys = multi_indices(self.ndim, orders[-1])
         rows = tuple(i for i, alpha in enumerate(keys) if sum(alpha) in orders)
         # amp * radius^-|alpha| * alpha! takes a Taylor coefficient of the profile to D^alpha u.
-        scale = [self.amp * self.radius ** -sum(keys[i]) * math.prod(map(math.factorial, keys[i])) for i in rows]
+        try:
+            inverse = {m: self.radius ** -m for m in orders}
+        except OverflowError:
+            raise BadParams(
+                f"radius {self.radius} is too small for derivative order {orders[-1]}: radius**-{orders[-1]} overflows"
+            ) from None
+        scale = [self.amp * inverse[sum(keys[i])] * math.prod(map(math.factorial, keys[i])) for i in rows]
         groups: Dict = {}  # output row -> positions in ``rows``: one order's, or one alpha's
         for j, i in enumerate(rows):
             groups.setdefault(sum(keys[i]) if by_order else keys[i], []).append(j)

@@ -56,6 +56,12 @@ class TestParams:
         assert code == 0
         assert "r=-2 s=-1/2 (p=-2, C^{0,1/2}) (unconstrained)" in out.splitlines()
 
+    @pytest.mark.parametrize("p", ["\u0662", "\u0663/\u0664"])
+    def test_non_ascii_exponent_rejected(self, p):
+        code, out, err = run(["params", "--n", "3", "--k", "2", "--l", "1", "--p", p, "--r", "-3", "--theta", "1/2"])
+        assert (code, out) == (2, "")
+        assert "not an exact rational" in err
+
     def test_underdetermined_rejected(self):
         code, _, err = run(["params", "--n", "3", "--k", "2", "--l", "1", "--p", "2"])
         assert code == 2
@@ -296,10 +302,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "old,new,message",
         [
-            ("exp=2/3;1/3", "exp=2/0;1/3", "denominator of '2/0' must be positive"),
+            ("exp=2/3;1/3", "exp=2/0;1/3", "expected a step line, got 'step INDUCT_DIAG "),
             ("instance n=1", "instance n=0", "invalid instance: dimension n=0"),
-            ("theta=2/3\n", "theta=2/3 bogus=7\n", "unknown keys ['bogus']"),
-            (" exp=1 constant=", " exp=1 extra=5 constant=", "unknown keys ['extra']"),
+            ("theta=2/3\n", "theta=2/3 bogus=7\n", "expected an instance line, got 'instance n=1 "),
+            (" exp=1 constant=", " exp=1 extra=5 constant=", "expected a step line, got 'step HOLDER_IDENTITY "),
         ],
         ids=["zero-denominator", "zero-dimension", "unknown-instance-key", "unknown-step-key"],
     )

@@ -11,7 +11,6 @@ from gninterp import errors
 from gninterp.cli import RunConfig, _index_scale, load_config, parse_instance
 from gninterp.derivation import (
     Slot,
-    _parse_rational,
     base_lemma_steps,
     derive_chain,
     format_certificate,
@@ -31,7 +30,7 @@ from gninterp.indices import (
 )
 from gninterp.interp import InterpolationTriple, mixed_case_constant, mixed_case_integral
 from gninterp.measure import check_interpolation, split_sum_inequality
-from gninterp.norms import GridSpec, brute_force_holder, default_grid, holder_seminorm, lp_norm, xnorm
+from gninterp.norms import GridSpec, brute_force_holder, default_grid, holder_seminorm, lp_norm, sup_norm, xnorm
 from gninterp.testfn import bump, bump_poly, bump_wave, parse_testfn, plateau
 
 # Each check that once raised a bare ValueError, with its message. A case gets
@@ -70,7 +69,6 @@ FORMER_VALUE_ERRORS = {
     "split-sign": (lambda path: split_sum_inequality([-1.0], [1.0], 0.5), "sequences must be nonnegative"),
     "split-eta": (lambda path: split_sum_inequality([1.0], [1.0], 1.5), "eta must lie in [0, 1], got 1.5"),
     "slot-order": (lambda path: Slot(-1, F(0)), "derivative order must be >= 0, got -1"),
-    "certificate-rational": (lambda path: _parse_rational("2/0"), "denominator of '2/0' must be positive"),
     "config-tolerance": (lambda path: RunConfig(tolerance_ratio=0.0), "tolerance_ratio must be positive, got 0.0"),
     "config-key": (
         lambda path: load_config(str(path(b"bogus=1"))),
@@ -144,6 +142,17 @@ INPUT_CHECKS = {
     ),
     "xnorm-holder-order-float": (
         lambda: xnorm(bump(1), F(-1, 2), order=1.5), BadParams, "derivative order must be an integer, got 1.5"
+    ),
+    # radius**-2 overflows a float: OverflowError would exit 1, as a failed bound does.
+    "jet-radius-overflow": (
+        lambda: bump(1).dilate(1e200).jet(np.zeros((1, 1)), 2),
+        BadParams,
+        "radius 1e-200 is too small for derivative order 2: radius**-2 overflows",
+    ),
+    "sup-radius-overflow": (
+        lambda: sup_norm(bump(1, R=1e-200), order=2),
+        BadParams,
+        "radius 1e-200 is too small for derivative order 2: radius**-2 overflows",
     ),
     "deg": (lambda: bump_poly(1, deg=-1), BadParams, "deg must be a nonnegative integer, got -1"),
     # An axis is read as an index: int() would truncate 0.5 to axis 0.

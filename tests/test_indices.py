@@ -48,6 +48,12 @@ class TestAsRational:
         with pytest.raises(TypeError):
             as_rational(0.5)
 
+    @pytest.mark.parametrize("bad", ["\u0662", "\u0663/\u0664", "1/\u0664", "\uff12"])
+    def test_rejects_non_ascii_digits(self, bad):
+        # Python's \d matches these, and Fraction would read them.
+        with pytest.raises(MalformedIndex, match="not an exact rational"):
+            as_rational(bad)
+
     @pytest.mark.parametrize(
         "bad,exc,builtin", [(0.5, MalformedIndex, TypeError), ("0.5", MalformedIndex, ValueError)]
     )

@@ -18,6 +18,7 @@ from gninterp.norms import (
     _exact_order_components,
     _grid_pair_scan,
     _mesh,
+    _min_separation,
     _pair_scan,
     _simpson_integral,
     _slot_norms,
@@ -420,7 +421,8 @@ def _rescanned_seminorm(fn, order, gamma, grid):
     """``holder_seminorm``'s value and error estimate, rebuilt from the brute
     sweep: each component refines on its own cloud, with a jet of its own order."""
     pts = grid.mesh()
-    sups, pairs = _pair_scan(pts, _exact_order_components(fn, pts, order), gamma)
+    min_dist = _min_separation(grid)
+    sups, pairs = _pair_scan(pts, _exact_order_components(fn, pts, order), gamma, min_dist)
     improvement = 0.0
     for key in sorted(sups):
         h = grid.spacing()
@@ -431,7 +433,7 @@ def _rescanned_seminorm(fn, order, gamma, grid):
                 mesh = np.meshgrid(*axes, indexing="ij")
                 cloud.append(np.stack([g.ravel() for g in mesh], axis=-1))
             local = np.concatenate(cloud, axis=0)
-            lsup, lpair = _pair_scan(local, _exact_order_components(fn, local, order), gamma)
+            lsup, lpair = _pair_scan(local, _exact_order_components(fn, local, order), gamma, min_dist)
             if lsup[key] > sups[key]:
                 improvement = max(improvement, lsup[key] - sups[key])
                 sups[key], pairs[key] = lsup[key], lpair[key]
@@ -460,8 +462,8 @@ class TestCloudScan:
             v = bump_wave(n, omega=3.0).jet(local, 1)[(1,) + (0,) * (n - 1)]
             if field == "constant":
                 v = np.full_like(v, 0.75)
-        want_sups, want_pairs = _pair_scan(local, {"v": v}, gamma)
-        got, a, b = _cloud_scan(local, v, gamma)
+        want_sups, want_pairs = _pair_scan(local, {"v": v}, gamma, 1e-9)
+        got, a, b = _cloud_scan(local, v, gamma, 1e-9)
         assert got == want_sups["v"]
         assert np.array_equal(a, want_pairs["v"][0]) and np.array_equal(b, want_pairs["v"][1])
         assert (got == 0.0) is (field == "constant")
@@ -498,7 +500,7 @@ class TestPairScanIndependence:
 
         pts = grid.mesh()
         comps = _exact_order_components(fn, pts, order)
-        want_sups, want_pairs = _pair_scan(pts, comps, gamma)
+        want_sups, want_pairs = _pair_scan(pts, comps, gamma, _min_separation(grid))
         got_sups, got_pairs = _grid_pair_scan(grid, comps, gamma)
         assert got_sups == want_sups
         for key in want_pairs:
@@ -510,11 +512,27 @@ class TestPairScanIndependence:
         # initial pair (point 0 twice).
         grid = GridSpec((2.0, 2.0), (3.0, 4.0), 7)
         comps = _exact_order_components(bump2, grid.mesh(), 1)
-        want_sups, want_pairs = _pair_scan(grid.mesh(), comps, 0.5)
+        want_sups, want_pairs = _pair_scan(grid.mesh(), comps, 0.5, _min_separation(grid))
         got_sups, got_pairs = _grid_pair_scan(grid, comps, 0.5)
         assert got_sups == want_sups == {key: 0.0 for key in comps}
         for key in comps:
             assert np.array_equal(np.stack(got_pairs[key]), np.stack(want_pairs[key]))
+
+
+class TestTinySupports:
+    """Pair separation is relative to the pair grid: an absolute 1e-9 skipped
+    every pair of a support of radius 1e-10 and read 0."""
+
+    @pytest.mark.parametrize("n,order,gamma", [(1, 0, 0.5), (1, 1, 0.25), (2, 0, 0.75), (2, 1, 0.5)])
+    def test_dilation_law_holds_down_to_radius_1e_12(self, n, order, gamma):
+        base = holder_seminorm(bump(n), order, gamma).value
+        for e in range(6, 13):
+            radius = 10.0**-e
+            fn = bump(n, R=radius)
+            law = base * radius ** -(order + gamma)
+            assert holder_seminorm(fn, order, gamma).value == pytest.approx(law, rel=1e-14), e
+            raw = holder_seminorm(fn, order, gamma, refinements=0).value
+            assert raw == brute_force_holder(fn, order, gamma, default_grid(fn, "pair")).value, e
 
 
 class TestPairScanChunks:
@@ -531,13 +549,13 @@ class TestPairScanChunks:
         size = pts.shape[0]
         comps = _exact_order_components(fn, pts, order)
         want_value = brute_force_holder(fn, order, 0.5, grid).value
-        want_sups, want_pairs = _pair_scan(pts, comps, 0.5)
+        want_sups, want_pairs = _pair_scan(pts, comps, 0.5, _min_separation(grid))
 
         ragged_rows = 4
         assert size % ragged_rows
         for key, v in comps.items():
             dist_sq = sum((pts[:, None, i] - pts[None, :, i]) ** 2 for i in range(n))
-            ok, denom = norms._pair_denominators(dist_sq, 0.5)
+            ok, denom = norms._pair_denominators(dist_sq, 0.5, _min_separation(grid))
             q = np.where(ok, np.abs(v[:, None] - v[None, :]) / denom, 0.0)
             tops = np.flatnonzero(q == q.max())
             assert len(set(tops // size // ragged_rows)) > 1, key
@@ -548,7 +566,7 @@ class TestPairScanChunks:
         for budget in (1, ragged_rows * size + 3, size * size):
             monkeypatch.setattr(norms, "_PAIR_BUDGET", budget)
             assert brute_force_holder(fn, order, 0.5, grid).value == want_value
-            got_sups, got_pairs = _pair_scan(pts, comps, 0.5)
+            got_sups, got_pairs = _pair_scan(pts, comps, 0.5, _min_separation(grid))
             assert got_sups == want_sups
             for key in want_pairs:
                 assert np.array_equal(np.stack(got_pairs[key]), np.stack(want_pairs[key])), (budget, key)
