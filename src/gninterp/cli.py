@@ -323,8 +323,9 @@ def _cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.holder:
         grid = _grid(fn, "pair", cfg.points)
         gamma = as_rational(args.p2)
-        fast = holder_seminorm(fn, args.order, gamma, grid=grid, refinements=0)
+        # The oracle first: it refuses a grid past its point cap before any evaluation.
         brute = brute_force_holder(fn, args.order, gamma, grid=grid)
+        fast = holder_seminorm(fn, args.order, gamma, grid=grid, refinements=0)
         equal = fast.value == brute.value
         _emit(
             cfg,

@@ -28,11 +28,12 @@ with separate routines that share one thing, :func:`_pair_denominators`: the
 separation mask and ``|x-y|^gamma`` from squared distances. The fast scan
 walks lattice offsets of the uniform grid and prunes, and its refine
 clouds get a scan of their own (:func:`_cloud_scan`); the oracle sweeps
-every ordered pair in row-major chunks and uses nothing of the grid's
-structure. Each of the sweep's arrays holds at most one chunk's pairs,
-2^18 (2 MiB of floats), so a sweep at ``PAIR_POINT_CAP`` points traces
-about 13 MiB; a smaller budget swept faster but slowed the offset scan
-that runs after it (see :func:`_pair_scan`). With refinement turned off
+each unordered pair once, in row-major chunks, and uses nothing of the
+grid's structure: N(N+r)/2 pairs for N points and r rows per chunk. Each of
+the sweep's arrays holds at most one chunk's pairs, 2^18 (2 MiB of floats),
+so a sweep at ``PAIR_POINT_CAP`` points traces about 13 MiB; a smaller
+budget swept faster but slowed the offset scan that runs after it (see
+:func:`_pair_scan`). With refinement turned off
 the two agree bit for bit on the same grid, attaining pairs included,
 which the tests check rather than assume.
 All reductions run in a fixed order; repeated calls give identical floats.
@@ -406,12 +407,21 @@ def _pair_scan(
 ) -> tuple[Dict[Key, float], Dict[Key, tuple[np.ndarray, np.ndarray]]]:
     """Best difference quotient |v(x)-v(y)| / |x-y|^gamma per component.
 
-    Scans every ordered pair of rows of ``points`` in row-major order, in
-    chunks of ``max(1, _PAIR_BUDGET // N)`` rows, so each pair array holds
-    at most one chunk's pairs, and a later chunk takes over only with a
-    strictly larger quotient: the first attaining pair wins.  Squared
-    distances add one axis at a time, in axis order.  Returns per-component
-    sups and the attaining pairs.
+    Scans each unordered pair of rows of ``points`` once, in row-major
+    chunks of r = ``max(1, _PAIR_BUDGET // N)`` rows: rows
+    ``[start, start + r)`` against columns ``[start, N)``, N(N+r)/2 pairs in
+    all, so each pair array holds at most one chunk's pairs.  A later chunk
+    takes over only with a strictly larger quotient: the first attaining
+    pair in row-major order wins.  Squared distances add one axis at a
+    time, in axis order.  Returns per-component sups and the attaining
+    pairs.
+
+    The quotient is symmetric bit for bit (``a - b`` is exactly
+    ``-(b - a)``), so the triangle's maximum is the square's, and the
+    square's first attaining pair (i, j) has j > i: a partner below i would
+    come first.  It lies in row i's chunk at a column >= start, and the
+    pairs with j <= i left in the diagonal block each come after their
+    mirror.  So the sups and pairs are those of every ordered pair.
 
     The budget, 2^18 pairs (2 MiB per float64 array), keeps the sweep's
     traced peak near 13 MiB at ``PAIR_POINT_CAP`` points, against over
@@ -429,20 +439,20 @@ def _pair_scan(
         k: (points[0], points[0]) for k in keys
     }
     for start in range(0, n, rows):
-        block = points[start : start + rows]
+        block, cols = points[start : start + rows], points[start:]
         dist_sq = 0.0
         for ax in range(points.shape[1]):
-            dist_sq = dist_sq + (block[:, ax, None] - points[None, :, ax]) ** 2
+            dist_sq = dist_sq + (block[:, ax, None] - cols[None, :, ax]) ** 2
         ok, denom = _pair_denominators(dist_sq, gamma, min_dist)
         for k in keys:
-            v = comps[k]
-            num = np.abs(v[start : start + rows, None] - v[None, :])
+            v = comps[k][start:]
+            num = np.abs(v[:rows, None] - v[None, :])
             q = np.where(ok, num / denom, 0.0)
             fi = int(np.argmax(q))
-            i, j = divmod(fi, n)
+            i, j = divmod(fi, n - start)
             if float(q[i, j]) > sups[k]:
                 sups[k] = float(q[i, j])
-                pairs[k] = (block[i], points[j])
+                pairs[k] = (block[i], cols[j])
     return sups, pairs
 
 
@@ -693,7 +703,7 @@ def brute_force_holder(
     gamma: float,
     grid: GridSpec,
 ) -> NormValue:
-    """Reference Holder seminorm: every ordered pair, swept in row-major chunks.
+    """Reference Holder seminorm: each unordered pair once, in row-major chunks.
 
     No refinement, no pruning and no use of the grid's structure: the oracle
     that :func:`holder_seminorm` with ``refinements=0`` must reproduce bit for
@@ -706,13 +716,8 @@ def brute_force_holder(
     if grid.npoints > PAIR_POINT_CAP:
         raise BadParams(f"{grid.npoints} points exceed the pair-scan cap of {PAIR_POINT_CAP}")
     pts = grid.mesh()
+    # jet raises on a non-finite row: the scan skips NaN quotients, so one would read 0.
     comps = _exact_order_components(fn, pts, order)
-    # The scan skips a NaN quotient, so a non-finite field would read 0.
-    # Checked here, not through the fast path's checks, to stay independent.
-    for comp in comps.values():
-        bad = comp[~np.isfinite(comp)]
-        if bad.size:
-            raise BadParams(f"the order-{order} field is {bad[0]}, not finite")
     sups, _ = _pair_scan(pts, comps, gamma, _min_separation(grid))
     total = 0.0
     for key in sorted(sups):

@@ -426,9 +426,16 @@ class TestFunction:
 
         Returns ``{alpha: D^alpha u(points)}`` for every multi-index with
         ``|alpha| <= order``, each value an array over the points: the block
-        loop :meth:`_evaluate` at orders 0..order.
+        loop :meth:`_evaluate` at orders 0..order. Raises BadParams ("the
+        order-m field is -inf, not finite") for the first row, in canonical
+        order, that overflowed.
         """
-        return self._evaluate(points, range(_jet_order(order) + 1))
+        out = self._evaluate(points, range(_jet_order(order) + 1))
+        for alpha, row in out.items():
+            finite = np.isfinite(row)
+            if not finite.all():
+                raise BadParams(f"the order-{sum(alpha)} field is {row[~finite][0]}, not finite")
+        return out
 
     def _max_abs_fields(self, points: np.ndarray, orders: Iterable[int]) -> Dict[int, np.ndarray]:
         """``{m: max over |alpha| = m of |D^alpha u(points)|}`` for each order m,

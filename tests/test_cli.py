@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gninterp import norms
 from gninterp.cli import ENV_CONFIG, load_config, main, parse_instance
 from gninterp.derivation import parse_certificate
 from gninterp.measure import dilation_sweep
@@ -346,6 +347,17 @@ class TestOracle:
         (row,) = csv_rows(out)
         assert row["points"] == "65"
         assert row["equal"] == "True"
+
+    def test_holder_past_the_cap_refuses_before_any_scan(self, monkeypatch):
+        # The fast scan has no cap: run first, 40,001 points took seconds before the refusal.
+        scans = []
+        monkeypatch.setattr(norms, "_grid_pair_scan", lambda *args: scans.append(args))
+        code, out, err = run(
+            ["oracle", "--holder", "--fn", "bump(R=1.0)", "--n", "1",
+             "--order", "0", "--p2", "1", "--points", "4097"]
+        )
+        assert (code, out, scans) == (2, "", [])
+        assert err.splitlines()[-1] == "error: 4097 points exceed the pair-scan cap of 4096"
 
     def test_lp_midpoint_within_budget(self):
         code, out, _ = run(

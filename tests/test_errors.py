@@ -149,6 +149,10 @@ INPUT_CHECKS = {
         BadParams,
         "radius 1e-200 is too small for derivative order 2: radius**-2 overflows",
     ),
+    # amp * radius**-2 * 2! times a Taylor coefficient overflows: the row read -inf silently.
+    "jet-row-overflow": (
+        lambda: bump(1, R=1e-154).jet([[0.3e-154]], 2), BadParams, "the order-2 field is -inf, not finite"
+    ),
     "sup-radius-overflow": (
         lambda: sup_norm(bump(1, R=1e-200), order=2),
         BadParams,

@@ -535,6 +535,24 @@ class TestTinySupports:
             assert raw == brute_force_holder(fn, order, gamma, default_grid(fn, "pair")).value, e
 
 
+def _ordered_pair_scan(points, comps, gamma, min_dist):
+    """The sweep over every ordered pair, chunk by chunk: the reference for
+    the triangle :func:`_pair_scan` sweeps."""
+    n = points.shape[0]
+    rows = max(1, norms._PAIR_BUDGET // n)
+    sups, pairs = dict.fromkeys(comps, 0.0), {k: (points[0], points[0]) for k in comps}
+    for start in range(0, n, rows):
+        block = points[start : start + rows]
+        dist_sq = sum((block[:, ax, None] - points[None, :, ax]) ** 2 for ax in range(points.shape[1]))
+        ok, denom = norms._pair_denominators(dist_sq, gamma, min_dist)
+        for k in sorted(comps):
+            q = np.where(ok, np.abs(comps[k][start : start + rows, None] - comps[k][None, :]) / denom, 0.0)
+            i, j = divmod(int(np.argmax(q)), n)
+            if q[i, j] > sups[k]:
+                sups[k], pairs[k] = float(q[i, j]), (block[i], points[j])
+    return sups, pairs
+
+
 class TestPairScanChunks:
     """The brute sweep's chunking changes no float and no attaining pair."""
 
@@ -549,7 +567,7 @@ class TestPairScanChunks:
         size = pts.shape[0]
         comps = _exact_order_components(fn, pts, order)
         want_value = brute_force_holder(fn, order, 0.5, grid).value
-        want_sups, want_pairs = _pair_scan(pts, comps, 0.5, _min_separation(grid))
+        want_sups, want_pairs = _ordered_pair_scan(pts, comps, 0.5, _min_separation(grid))
 
         ragged_rows = 4
         assert size % ragged_rows
@@ -562,14 +580,37 @@ class TestPairScanChunks:
             assert np.array_equal(np.stack(want_pairs[key]), pts[[tops[0] // size, tops[0] % size]])
 
         # One row per chunk, 4 rows per chunk with a ragged last chunk, and
-        # a single chunk of every pair.
+        # a single chunk of every pair; a constant field keeps point 0 twice.
+        constant = {"constant": np.full(size, 0.75)}
         for budget in (1, ragged_rows * size + 3, size * size):
             monkeypatch.setattr(norms, "_PAIR_BUDGET", budget)
             assert brute_force_holder(fn, order, 0.5, grid).value == want_value
-            got_sups, got_pairs = _pair_scan(pts, comps, 0.5, _min_separation(grid))
-            assert got_sups == want_sups
-            for key in want_pairs:
-                assert np.array_equal(np.stack(got_pairs[key]), np.stack(want_pairs[key])), (budget, key)
+            for fields in (comps, constant):
+                want_sups, want_pairs = _ordered_pair_scan(pts, fields, 0.5, _min_separation(grid))
+                got_sups, got_pairs = _pair_scan(pts, fields, 0.5, _min_separation(grid))
+                assert got_sups == want_sups
+                for key in want_pairs:
+                    assert np.array_equal(np.stack(got_pairs[key]), np.stack(want_pairs[key])), (budget, key)
+        assert got_sups == {"constant": 0.0}
+        assert np.array_equal(np.stack(got_pairs["constant"]), pts[[0, 0]])
+
+    @pytest.mark.parametrize("n,points,order", [(3, 16, 0), (2, 64, 1), (1, 4096, 2)])
+    def test_each_unordered_pair_is_met_once(self, monkeypatch, n, points, order):
+        # N(N+r)/2 pairs for r rows per chunk: the ordered sweep formed N^2.
+        formed = []
+        shared = norms._pair_denominators
+
+        def counted(dist_sq, gamma, min_dist):
+            formed.append(dist_sq.size)
+            return shared(dist_sq, gamma, min_dist)
+
+        monkeypatch.setattr(norms, "_pair_denominators", counted)
+        grid = GridSpec((-1.05,) * n, (1.05,) * n, points)
+        size = grid.npoints
+        rows = norms._PAIR_BUDGET // size
+        assert (size, rows) == (PAIR_POINT_CAP, 64)
+        brute_force_holder(bump(n), order, 0.5, grid)
+        assert sum(formed) <= size * (size + rows) // 2 == 8_519_680
 
     @pytest.mark.parametrize("n,points,order", [(3, 16, 0), (2, 64, 1), (1, 4096, 2)])
     def test_sweep_memory_is_bounded(self, n, points, order):
